@@ -25,17 +25,13 @@ from .image import GrayImage, load_mask
 from .kernels import KernelParams, build_bank
 from .metrics import auc, evaluate_pair, roc_curve
 from .pnm import read_pnm, write_pnm
-from .preprocess import ClaheParams, clahe, luma_grayscale, pca_grayscale
-from .response import max_response, normalize_response
+from .preprocess import ClaheParams
+from .response import normalize_response
 from .segment import (
     PipelineParams,
-    binarize,
-    build_histogram,
-    complement,
     default_min_component_size,
-    length_filter,
-    apply_mask,
-    otsu_threshold,
+    drain,
+    pipeline_stages,
     run_pipeline,
 )
 from .sweep import GridSpec, SweepError, length_search, three_round_search
@@ -304,11 +300,27 @@ def _params_meta(params: PipelineParams) -> str:
             f"otsu_scope={params.otsu_scope} gray={params.gray_mode}")
 
 
+class ThreadCountError(ValueError):
+    """A worker-pool size below 1, or a VESSELMF_THREADS that is not an integer."""
+
+
 def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("VESSELMF_THREADS", "")
-    return max(1, int(env)) if env.isdigit() else 1
+    """Pool size from ``--threads``, else VESSELMF_THREADS, else 1."""
+    if args.threads is not None:
+        count, source = args.threads, "--threads"
+    else:
+        env = os.environ.get("VESSELMF_THREADS", "").strip()
+        if not env:
+            return 1
+        source = "VESSELMF_THREADS"
+        try:
+            count = int(env)
+        except ValueError:
+            raise ThreadCountError(
+                f"{source} must be an integer, got {env!r}") from None
+    if count < 1:
+        raise ThreadCountError(f"{source} must be at least 1, got {count}")
+    return count
 
 
 def _fmt(value, digits=4) -> str:
@@ -337,15 +349,14 @@ def cmd_segment(args) -> int:
             image, fov, _ = _load_entry(entry, with_gt=False)
             params = resolve_pipeline_params(args, (image.width, image.height))
             bank = build_bank(params.kernel)
-            result = run_pipeline(image, fov, params, bank)
+            on_stage = _stage_writer(out_dir / f"{entry.id}_stages") \
+                if args.dump_stages else None
+            result = drain(pipeline_stages(image, fov, params, bank), on_stage)
             (out_dir / f"{entry.id}_vessels.pgm").write_bytes(
                 write_pnm(result.vessel_map))
             if args.dump_mfr:
                 (out_dir / f"{entry.id}_mfr.pgm").write_bytes(
                     write_pnm(normalize_response(result.mfr)))
-            if args.dump_stages:
-                _dump_stages(out_dir / f"{entry.id}_stages", image, fov,
-                             params, bank)
         except Exception as exc:
             failures.append(entry.id)
             print(f"error: {entry.id}: {exc}", file=sys.stderr)
@@ -356,30 +367,16 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _dump_stages(stage_dir: Path, image, fov, params, bank):
-    """Write every intermediate image, including the inverted display map."""
+def _stage_writer(stage_dir: Path):
+    """``drain`` callback writing each intermediate image as <name>.pgm."""
     stage_dir.mkdir(parents=True, exist_ok=True)
-    gray = luma_grayscale(image) if params.gray_mode == "luma" \
-        else pca_grayscale(image)
-    enhanced = clahe(gray, params.clahe)
-    resp = max_response(enhanced, bank)
-    norm = normalize_response(resp)
-    hist_mask = fov if params.otsu_scope == "fov-only" else None
-    diag = otsu_threshold(build_histogram(norm, hist_mask))
-    thresholded = binarize(norm, diag.k_star)
-    cleaned = length_filter(thresholded, params.min_component_size)
-    masked = apply_mask(cleaned, fov)
-    for name, img in [
-        ("01_gray", gray), ("02_enhanced", enhanced), ("03_mfr", norm),
-        ("04_threshold", thresholded), ("05_length_filtered", cleaned),
-        ("06_masked", masked), ("07_complement", complement(masked)),
-    ]:
-        (stage_dir / f"{name}.pgm").write_bytes(write_pnm(img))
+    return lambda name, image: (stage_dir / f"{name}.pgm").write_bytes(
+        write_pnm(image))
 
 
 def cmd_eval(args) -> int:
-    manifest = discover_dataset(args.dataset_dir, args.layout)
     threads = _thread_count(args)
+    manifest = discover_dataset(args.dataset_dir, args.layout)
     scope_fov = args.metrics_scope == "fov"
     failures = []
 

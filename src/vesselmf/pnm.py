@@ -30,7 +30,7 @@ class PnmDecodeError(ValueError):
 
 
 class _Tokenizer:
-    """Whitespace/comment-aware scanner over the header and ASCII raster."""
+    """Whitespace/comment-aware scanner over the header."""
 
     def __init__(self, data: bytes, pos: int = 0):
         self.data = data
@@ -62,6 +62,97 @@ class _Tokenizer:
         return int(self.data[start:self.pos])
 
 
+# Bytes that are neither a decimal digit nor whitespace: '#' or malformed.
+_NOT_SAMPLE_OR_SPACE = np.ones(256, dtype=bool)
+_NOT_SAMPLE_OR_SPACE[list(b"0123456789" + _WHITESPACE)] = False
+
+
+def _comment_bytes(raw: np.ndarray) -> np.ndarray:
+    """True for every byte from a ``#`` up to (not including) the next CR/LF."""
+    hashes = np.flatnonzero(raw == ord("#"))
+    breaks = np.flatnonzero((raw == 0x0A) | (raw == 0x0D))
+    ends = np.append(breaks, raw.size)[np.searchsorted(breaks, hashes)]
+    # A '#' inside a comment adds nothing: keep the first per line end.
+    first = np.ones(hashes.size, dtype=bool)
+    first[1:] = ends[1:] != ends[:-1]
+    marks = np.zeros(raw.size + 1, dtype=np.int8)
+    marks[hashes[first]] = 1
+    marks[ends[first]] = -1
+    return np.cumsum(marks[:-1], dtype=np.int8).view(bool)
+
+
+def _decode_ascii(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """The first ``count`` decimal samples of the ASCII raster at ``pos``.
+
+    Samples are digit runs separated by whitespace and comments.  Errors are
+    raised in byte order, as a sample-by-sample scan would meet them: a byte
+    that is neither (``expected decimal sample``), the end of the data before
+    ``count`` samples, or a sample above ``maxval`` (offset of its first
+    digit).  Bytes after the last sample's digits do not affect the result.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    comment = _comment_bytes(raw) if data.find(b"#", pos) >= 0 else None
+
+    # Digit values with every other byte 0, behind two zero bytes; is_digit
+    # is padded by one False on each side so runs start and stop inside it.
+    digits = np.zeros(raw.size + 2, dtype=np.uint8)
+    np.subtract(raw, ord("0"), out=digits[2:])
+    padded = np.zeros(raw.size + 2, dtype=bool)
+    is_digit = padded[1:-1]
+    np.less(digits[2:], 10, out=is_digit)
+    if comment is not None:
+        is_digit &= ~comment
+    digits[2:] *= is_digit
+    starts = np.flatnonzero(is_digit > padded[:-2])
+    last = np.flatnonzero(is_digit > padded[2:])
+    del padded, is_digit
+
+    # Only bytes before the last sample can make the raster malformed.
+    scan = int(starts[count - 1]) if starts.size >= count else raw.size
+    bad = _NOT_SAMPLE_OR_SPACE[raw[:scan]]
+    if comment is not None:
+        bad &= ~comment[:scan]
+    del comment
+    if bad.any():
+        at = int(np.argmax(bad))
+        error = PnmDecodeError("expected decimal sample", pos + at)
+        n = int(np.searchsorted(starts, at))
+    elif starts.size < count:
+        error = PnmDecodeError("unexpected end of data reading sample", len(data))
+        n = starts.size
+    else:
+        error = None
+        n = count
+    del bad
+    starts, last = starts[:n], last[:n]
+
+    # A sample's value is its last three digits; maxval <= 255, so any
+    # nonzero digit before those puts it above maxval.  The byte before a
+    # run is 0 in ``digits``, but two before a one-digit run may not be.
+    span = last - starts
+    samples = digits[:-2][last].astype(np.uint16)
+    samples[span < 2] = 0
+    samples *= 10
+    samples += digits[1:-1][last]
+    samples *= 10
+    samples += digits[2:][last]
+    long = np.flatnonzero(span > 2)
+    del span
+    if long.size:
+        bounds = np.column_stack((starts[long], last[long] - 2)).ravel()
+        lead = np.maximum.reduceat(digits[2:], bounds)[::2]
+        samples[long[lead > 0]] = maxval + 1
+    over = samples > maxval
+    if over.any():
+        k = int(np.argmax(over))
+        first, end = pos + int(starts[k]), pos + int(last[k]) + 1
+        value = data[first:end].lstrip(b"0").decode("ascii")
+        raise PnmDecodeError(f"sample {value} exceeds maxval {maxval}", first)
+    if error is not None:
+        raise error
+    return samples
+
+
 def read_pnm(data: bytes):
     """Decode a PNM byte sequence into an RgbImage (P3/P6) or GrayImage (P2/P5)."""
     data = bytes(data)
@@ -84,13 +175,7 @@ def read_pnm(data: bytes):
     count = width * height * channels
 
     if ascii_raster:
-        samples = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            at = tok.pos
-            v = tok.next_uint("sample")
-            if v > maxval:
-                raise PnmDecodeError(f"sample {v} exceeds maxval {maxval}", at)
-            samples[i] = v
+        samples = _decode_ascii(data, tok.pos, count, maxval)
     else:
         if tok.pos >= len(data) or data[tok.pos] not in _WHITESPACE:
             raise PnmDecodeError("expected single whitespace before raster", tok.pos)
@@ -112,6 +197,15 @@ def read_pnm(data: bytes):
         return RgbImage.from_array(rgb.astype(np.uint8))
     gray = samples.reshape(height, width).astype(np.float64) / maxval
     return GrayImage.from_array(gray)
+
+
+# Decimal digits and a space for every 8-bit sample, NUL-padded to 4 bytes.
+_SAMPLE_TEXT = np.frombuffer(
+    b"".join(f"{v} ".encode("ascii").ljust(4, b"\0") for v in range(256)),
+    dtype=np.uint8,
+).reshape(256, 4)
+_SAMPLE_KEEP = _SAMPLE_TEXT > 0
+_SAMPLE_DIGITS = _SAMPLE_KEEP.sum(axis=1) - 1
 
 
 def write_pnm(image, format: str = "binary") -> bytes:
@@ -143,8 +237,9 @@ def write_pnm(image, format: str = "binary") -> bytes:
         return header + flat.tobytes()
 
     magic = "P3" if color else "P2"
-    header = f"{magic}\n{image.width} {image.height}\n255\n"
-    per_row = image.width * (3 if color else 1)
-    rows = flat.reshape(-1, per_row)
-    body = "\n".join(" ".join(str(v) for v in row) for row in rows)
-    return (header + body + "\n").encode("ascii")
+    header = f"{magic}\n{image.width} {image.height}\n255\n".encode("ascii")
+    rows = flat.reshape(image.height, -1)
+    # The space after each row's last sample becomes the newline ending it.
+    text = _SAMPLE_TEXT[rows]
+    text[np.arange(image.height), -1, _SAMPLE_DIGITS[rows[:, -1]]] = ord("\n")
+    return header + text[_SAMPLE_KEEP[rows]].tobytes()

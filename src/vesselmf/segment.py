@@ -2,8 +2,10 @@
 
 The response image is quantized to 256 levels, thresholded at the level
 maximizing between-class variance, cleaned of small connected components,
-and clipped to the camera field of view.  ``run_pipeline`` chains these
-stages together with the preprocessing and filtering steps.
+and clipped to the camera field of view.  ``pipeline_stages`` declares the
+order of all stages, preprocessing and filtering included, once: it yields
+each intermediate image, ``run_pipeline`` drops them and the CLI's stage
+dumps write them.
 """
 
 from __future__ import annotations
@@ -245,13 +247,15 @@ def complement(image: BinaryImage) -> BinaryImage:
     return BinaryImage.from_array(~image.data)
 
 
-def run_pipeline(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
-                 bank: KernelBank) -> SegmentationResult:
-    """Full per-image run: gray, enhance, filter, threshold, clean, mask.
+def pipeline_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
+                    bank: KernelBank):
+    """Run the pipeline one stage at a time, yielding ``(name, image)``.
 
-    The vessel map keeps vessel-as-True polarity throughout; the inverted
-    rendering some figures show is produced only for display (see the CLI
-    stage dumps).  Deterministic: identical inputs give bit-identical maps.
+    The stages, in order: 01_gray, 02_enhanced, 03_mfr (the normalized
+    response), 04_threshold, 05_length_filtered, 06_masked (the vessel map)
+    and 07_complement, the inverted rendering some figures show.  The vessel
+    map keeps vessel-as-True polarity throughout.  The generator returns the
+    SegmentationResult; ``drain`` runs it to the end and hands that back.
     """
     if (rgb.width, rgb.height) != (fov.width, fov.height):
         raise ValueError("FOV mask dimensions do not match image")
@@ -270,12 +274,15 @@ def run_pipeline(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
         gray = stage("pca_grayscale", pca_grayscale, rgb)
     if gray.degenerate:
         flags.add("pca_grayscale")
+    yield "01_gray", gray
 
     enhanced = stage("clahe", clahe, gray, params.clahe)
+    yield "02_enhanced", enhanced
     resp = stage("max_response", max_response, enhanced, bank)
     norm = stage("normalize_response", normalize_response, resp)
     if norm.degenerate:
         flags.add("normalize_response")
+    yield "03_mfr", norm
 
     hist_mask = fov if params.otsu_scope == "fov-only" else None
     hist = stage("build_histogram", build_histogram, norm, hist_mask)
@@ -284,9 +291,13 @@ def run_pipeline(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
         flags.add("otsu_threshold")
 
     binary = stage("binarize", binarize, norm, diag.k_star)
+    yield "04_threshold", binary
     cleaned = stage("length_filter", length_filter, binary,
                     params.min_component_size)
+    yield "05_length_filtered", cleaned
     vessels = stage("apply_mask", apply_mask, cleaned, fov)
+    yield "06_masked", vessels
+    yield "07_complement", complement(vessels)
 
     return SegmentationResult(
         vessel_map=vessels,
@@ -294,3 +305,29 @@ def run_pipeline(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
         diagnostics=diag,
         degenerate_flags=flags,
     )
+
+
+def drain(stages, on_stage=None) -> SegmentationResult:
+    """Run a ``pipeline_stages`` generator to the end and return its result.
+
+    ``on_stage(name, image)``, when given, sees each intermediate as it is
+    produced; none is kept.
+    """
+    while True:
+        try:
+            name, image = next(stages)
+        except StopIteration as done:
+            return done.value
+        if on_stage is not None:
+            on_stage(name, image)
+
+
+def run_pipeline(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
+                 bank: KernelBank) -> SegmentationResult:
+    """Full per-image run: gray, enhance, filter, threshold, clean, mask.
+
+    Deterministic: identical inputs give bit-identical maps.  The stages are
+    those of ``pipeline_stages``; the intermediates are dropped as the run
+    goes.
+    """
+    return drain(pipeline_stages(rgb, fov, params, bank))

@@ -1,5 +1,6 @@
 """Batch CLI: dataset discovery, subcommands, report determinism."""
 
+import argparse
 import json
 
 import numpy as np
@@ -14,7 +15,13 @@ from vesselmf import (
     run_pipeline,
     write_pnm,
 )
-from vesselmf.cli import DatasetError, discover_dataset, main
+from vesselmf.cli import (
+    DatasetError,
+    ThreadCountError,
+    _thread_count,
+    discover_dataset,
+    main,
+)
 
 
 def _write(path, image):
@@ -125,9 +132,13 @@ class TestSegmentCommand:
         out = tmp_path / "out"
         code = main(["segment", "--dataset-dir", str(tmp_path / "data"),
                      "--layout", "drive", "--out", str(out),
-                     "--dump-stages", *PIPE_FLAGS])
+                     "--dump-stages", "--dump-mfr", *PIPE_FLAGS])
         assert code == 0
         stage_dir = out / "01_test_stages"
+        assert (stage_dir / "06_masked.pgm").read_bytes() == \
+            (out / "01_test_vessels.pgm").read_bytes()
+        assert (stage_dir / "03_mfr.pgm").read_bytes() == \
+            (out / "01_test_mfr.pgm").read_bytes()
         names = sorted(p.name for p in stage_dir.iterdir())
         assert names == [
             "01_gray.pgm", "02_enhanced.pgm", "03_mfr.pgm",
@@ -270,6 +281,38 @@ def test_threads_env_var(tmp_path, monkeypatch):
                  "--layout", "drive", "--report", str(r1), *PIPE_FLAGS])
     assert code == 0
     assert r1.read_text().splitlines()[2].split(",")[0] == "01_test"
+
+
+@pytest.mark.parametrize("flag,env,expected", [
+    (None, None, 1), (None, "2", 2), (3, "bogus", 3), (None, " 4 ", 4),
+])
+def test_thread_count_sources(monkeypatch, flag, env, expected):
+    if env is None:
+        monkeypatch.delenv("VESSELMF_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("VESSELMF_THREADS", env)
+    assert _thread_count(argparse.Namespace(threads=flag)) == expected
+
+
+@pytest.mark.parametrize("flag,env", [
+    (0, None), (-2, None), (None, "-1"), (None, "0"), (None, "two"), (None, "1.5"),
+])
+def test_bad_thread_count_rejected(monkeypatch, flag, env):
+    if env is None:
+        monkeypatch.delenv("VESSELMF_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("VESSELMF_THREADS", env)
+    with pytest.raises(ThreadCountError):
+        _thread_count(argparse.Namespace(threads=flag))
+
+
+def test_bad_thread_count_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VESSELMF_THREADS", "-3")
+    code = main(["eval", "--dataset-dir", str(tmp_path / "absent"),
+                 "--layout", "drive", "--report", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "VESSELMF_THREADS must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_run_config_validation(tmp_path):

@@ -12,6 +12,7 @@ from vesselmf import (
     read_pnm,
     write_pnm,
 )
+from vesselmf.image import quantize_levels
 
 
 def test_p5_decode_values():
@@ -109,12 +110,56 @@ def test_ascii_sample_above_maxval():
     with pytest.raises(PnmDecodeError) as err:
         read_pnm(b"P2 1 1 100 101")
     assert "exceeds maxval" in str(err.value)
+    assert err.value.offset == 11     # the sample's first digit
+
+
+@pytest.mark.parametrize("payload,value,offset", [
+    (b"P2 2 1 255 7 #x 9\n0256", "256", 18),
+    (b"P2 2 1 255 7#\n12345678901234567890 x", "12345678901234567890", 14),
+    (b"P3 1 1 99 1 2 100", "100", 14),
+])
+def test_ascii_above_maxval_names_exact_value_and_first_digit(payload, value, offset):
+    with pytest.raises(PnmDecodeError) as err:
+        read_pnm(payload)
+    assert str(err.value).startswith(f"sample {value} exceeds maxval")
+    assert err.value.offset == offset
+
+
+def _join_ascii(image):
+    """The ASCII raster as the original per-sample join wrote it."""
+    if isinstance(image, RgbImage):
+        flat, per_row, magic = image.data, image.width * 3, "P3"
+    elif isinstance(image, GrayImage):
+        flat, per_row, magic = quantize_levels(image.data), image.width, "P2"
+    else:
+        flat, per_row, magic = np.where(image.data, 255, 0), image.width, "P2"
+    rows = flat.reshape(-1, per_row)
+    body = "\n".join(" ".join(str(v) for v in row) for row in rows)
+    return f"{magic}\n{image.width} {image.height}\n255\n{body}\n".encode("ascii")
+
+
+@pytest.mark.parametrize("height,width", [(1, 1), (1, 6), (5, 1), (7, 9)])
+def test_ascii_encoder_matches_join_expression(height, width):
+    rng = np.random.default_rng(height * 100 + width)
+    for image in (
+        RgbImage.from_array(rng.integers(0, 256, (height, width, 3), dtype=np.uint8)),
+        GrayImage.from_array(rng.random((height, width))),
+        BinaryImage.from_array(rng.random((height, width)) < 0.5),
+    ):
+        assert write_pnm(image, "ascii") == _join_ascii(image)
 
 
 def test_never_reads_past_declared_payload():
     payload = b"P5 2 1 255 " + bytes([9, 9]) + b"trailing junk"
     img = read_pnm(payload)
     assert np.allclose(img.data, [[9 / 255.0, 9 / 255.0]])
+
+
+@pytest.mark.parametrize("payload", [
+    b"P2 2 1 255 9 9x", b"P2 2 1 255 9 9#", b"P3 1 1 255 1 2 3\xff 999",
+])
+def test_ascii_never_reads_past_last_sample(payload):
+    assert read_pnm(payload).data.size in (2, 3)
 
 
 def test_load_mask_white_black():

@@ -21,10 +21,12 @@ from vesselmf import (
     default_min_component_size,
     generate_phantom,
     length_filter,
+    normalize_response,
     otsu_curves,
     otsu_threshold,
     run_pipeline,
 )
+from vesselmf.segment import drain, pipeline_stages
 
 
 def brute_force_otsu(counts: np.ndarray) -> int:
@@ -323,6 +325,25 @@ class TestPipeline:
         with pytest.raises(PipelineStageError) as err:
             run_pipeline(phantom.rgb, phantom.fov, params, bank)
         assert err.value.stage == "max_response"
+
+    def test_stages_in_order_from_the_run_that_returns_the_map(self):
+        phantom = generate_phantom(size=96, seed=6)
+        params = _phantom_params()
+        bank = build_bank(params.kernel)
+        seen = []
+        result = drain(pipeline_stages(phantom.rgb, phantom.fov, params, bank),
+                       lambda name, image: seen.append((name, image)))
+        stages = dict(seen)
+        assert [name for name, _ in seen] == [
+            "01_gray", "02_enhanced", "03_mfr", "04_threshold",
+            "05_length_filtered", "06_masked", "07_complement",
+        ]
+        assert stages["06_masked"] is result.vessel_map
+        assert np.array_equal(stages["07_complement"].data, ~result.vessel_map.data)
+        assert np.array_equal(stages["03_mfr"].data,
+                              normalize_response(result.mfr).data)
+        again = run_pipeline(phantom.rgb, phantom.fov, params, bank)
+        assert np.array_equal(again.vessel_map.data, result.vessel_map.data)
 
     def test_dimension_mismatch_rejected(self):
         phantom = generate_phantom(size=64)
