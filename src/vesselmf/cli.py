@@ -57,27 +57,6 @@ class DatasetManifest:
         return len(self.entries)
 
 
-@dataclass
-class RunConfig:
-    """One reproducible batch run; ``outputs`` is created and must be writable."""
-
-    pipeline: PipelineParams
-    dataset: DatasetManifest
-    outputs: Path
-    report_format: str = "csv"
-
-    def __post_init__(self):
-        if self.report_format not in ("csv", "json"):
-            raise ValueError(f"unknown report format {self.report_format!r}")
-        self.outputs = Path(self.outputs)
-        self.outputs.mkdir(parents=True, exist_ok=True)
-        if not os.access(self.outputs, os.W_OK):
-            raise ValueError(f"output directory {self.outputs} not writable")
-        ids = [e.id for e in self.dataset.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("dataset ids are not unique")
-
-
 _IMAGE_SUFFIXES = (".ppm", ".pgm")
 
 

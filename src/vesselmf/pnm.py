@@ -19,6 +19,10 @@ from .image import BinaryImage, GrayImage, RgbImage, quantize_levels
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _MAGICS = {b"P2", b"P3", b"P5", b"P6"}
+# No width, height or maxval with more significant digits can be valid; the
+# bound also keeps every header number and product clear of the
+# interpreter's limit on int/str conversion (4300 digits by default).
+_MAX_HEADER_DIGITS = 18
 
 
 class PnmDecodeError(ValueError):
@@ -49,7 +53,9 @@ class _Tokenizer:
             else:
                 return
 
-    def next_uint(self, what: str) -> int:
+    def next_uint(self, what: str, max_digits: int | None = None) -> int:
+        """The next decimal number; more than ``max_digits`` significant
+        digits is an error at its first digit."""
         self._skip_separators()
         if self.pos >= len(self.data):
             raise PnmDecodeError(f"unexpected end of data reading {what}", self.pos)
@@ -59,7 +65,11 @@ class _Tokenizer:
         if self.pos == start:
             raise PnmDecodeError(f"expected decimal {what}", start)
         self.last_at = start
-        return int(self.data[start:self.pos])
+        digits = self.data[start:self.pos].lstrip(b"0")
+        if max_digits is not None and len(digits) > max_digits:
+            raise PnmDecodeError(
+                f"{what} has more than {max_digits} significant digits", start)
+        return int(digits or b"0")
 
 
 # Bytes that are neither a decimal digit nor whitespace: '#' or malformed.
@@ -163,9 +173,9 @@ def read_pnm(data: bytes):
     color = magic in (b"P3", b"P6")
 
     tok = _Tokenizer(data, pos=2)
-    width = tok.next_uint("width")
-    height = tok.next_uint("height")
-    maxval = tok.next_uint("maxval")
+    width = tok.next_uint("width", _MAX_HEADER_DIGITS)
+    height = tok.next_uint("height", _MAX_HEADER_DIGITS)
+    maxval = tok.next_uint("maxval", _MAX_HEADER_DIGITS)
     if width < 1 or height < 1:
         raise PnmDecodeError(f"invalid dimensions {width}x{height}", tok.last_at)
     if maxval < 1 or maxval > 255:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .image import BinaryImage, GrayImage, RgbImage, quantize_levels
 from .kernels import KernelBank, KernelParams
@@ -23,8 +22,6 @@ from .response import ResponseImage, max_response, normalize_response
 # DRIVE frame size; the small-component cutoff scales with image area
 # relative to it.
 _REFERENCE_AREA = 565 * 584
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 @dataclass
@@ -221,15 +218,64 @@ def binarize(image: GrayImage, k_star: int,
     return BinaryImage.from_array(out)
 
 
+def _root_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Smallest node of each node's connected component, for edges (u, v).
+
+    Union-find over whole arrays: each round hooks the larger root of every
+    edge whose ends have different roots onto the smaller one, then jumps
+    pointers until every node points at its root.
+    """
+    parent = np.arange(n)
+    while True:
+        ru, rv = parent[u], parent[v]
+        split = ru != rv
+        if not split.any():
+            return parent
+        u, v = u[split], v[split]
+        ru, rv = ru[split], rv[split]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
 def length_filter(image: BinaryImage, min_size: int) -> BinaryImage:
-    """Drop 8-connected foreground components smaller than ``min_size``."""
-    if min_size <= 1 or not image.data.any():
-        return BinaryImage.from_array(image.data.copy())
-    labels, n = ndimage.label(image.data, structure=_EIGHT_CONNECTED)
-    sizes = np.bincount(labels.ravel(), minlength=n + 1)
-    keep = sizes >= min_size
-    keep[0] = False
-    return BinaryImage.from_array(keep[labels])
+    """Drop 8-connected foreground components smaller than ``min_size``.
+
+    Components are labelled over row runs: runs on neighbouring rows that
+    touch, diagonals included, are joined by union-find, and a component's
+    size is the sum of its run lengths.
+    """
+    data = image.data
+    if min_size <= 1 or not data.any():
+        return BinaryImage.from_array(data.copy())
+    height, width = data.shape
+    # One False column on each side keeps runs of adjacent rows apart; a
+    # run's key is its position in the flattened padded rows.
+    stride = width + 2
+    flat = np.zeros((height, stride), dtype=bool)
+    flat[:, 1:-1] = data
+    flat = flat.ravel()
+    starts = np.flatnonzero(flat[1:] & ~flat[:-1]) + 1
+    ends = np.flatnonzero(flat[:-1] & ~flat[1:])
+    # Runs of the row above touching run b are those ending at or right of
+    # column start(b) - 1 and starting at or left of column end(b) + 1: one
+    # contiguous slice [first, stop) of the raster-ordered runs.
+    first = np.searchsorted(ends, starts - stride - 1, side="left")
+    stop = np.searchsorted(starts, ends - stride + 1, side="right")
+    touching = np.maximum(stop - first, 0)
+    below = np.repeat(np.arange(starts.size), touching)
+    offsets = np.arange(below.size) - np.repeat(
+        np.cumsum(touching) - touching, touching)
+    above = np.repeat(first, touching) + offsets
+    roots = _root_labels(above, below, starts.size)
+    lengths = ends - starts + 1
+    sizes = np.bincount(roots, weights=lengths, minlength=starts.size)
+    out = np.zeros_like(data)
+    out[data] = np.repeat(sizes[roots] >= min_size, lengths)
+    return BinaryImage.from_array(out)
 
 
 def apply_mask(image: BinaryImage, fov: BinaryImage) -> BinaryImage:

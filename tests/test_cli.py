@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vesselmf
 from vesselmf import (
     KernelParams,
     PipelineParams,
@@ -113,6 +118,18 @@ class TestDiscover:
         with pytest.raises(DatasetError) as err:
             discover_dataset(listing, "flat")
         assert "missing" in str(err.value)
+
+    def test_flat_duplicate_id_rejected(self, tmp_path):
+        phantom = generate_phantom(size=32, fov_radius=12)
+        (tmp_path / "b").mkdir()
+        for folder in (tmp_path, tmp_path / "b"):
+            _write(folder / "img.ppm", phantom.rgb)
+        _write(tmp_path / "fov.pgm", phantom.fov)
+        listing = tmp_path / "manifest.csv"
+        listing.write_text("img.ppm,fov.pgm\nb/img.ppm,fov.pgm\n")
+        with pytest.raises(DatasetError) as err:
+            discover_dataset(listing, "flat")
+        assert "duplicate dataset id 'img'" in str(err.value)
 
 
 class TestSegmentCommand:
@@ -315,20 +332,15 @@ def test_bad_thread_count_exits_2_before_any_work(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "r.csv").exists()
 
 
-def test_run_config_validation(tmp_path):
-    from vesselmf.cli import DatasetManifest, ManifestEntry, RunConfig
-
-    params = PipelineParams(kernel=KernelParams(sigma=1.0, length=8))
-    manifest = DatasetManifest(entries=[
-        ManifestEntry(id="a", image_path=tmp_path / "a.ppm",
-                      fov_mask_path=tmp_path / "a_mask.pgm"),
-    ])
-    config = RunConfig(pipeline=params, dataset=manifest,
-                       outputs=tmp_path / "out")
-    assert config.outputs.is_dir()
-    with pytest.raises(ValueError):
-        RunConfig(pipeline=params, dataset=manifest,
-                  outputs=tmp_path / "out", report_format="xml")
-    dupes = DatasetManifest(entries=manifest.entries * 2)
-    with pytest.raises(ValueError):
-        RunConfig(pipeline=params, dataset=dupes, outputs=tmp_path / "out")
+def test_cli_import_loads_no_scipy():
+    """Start-up cost: importing the CLI must not pull in scipy."""
+    src = str(Path(vesselmf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, vesselmf.cli; "
+            "print(vesselmf.cli.__file__); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                         capture_output=True, timeout=120, check=True)
+    loaded_from, scipy_modules = run.stdout.splitlines()
+    assert Path(loaded_from).resolve().parent == Path(vesselmf.__file__).resolve().parent
+    assert scipy_modules == "[]"

@@ -95,6 +95,24 @@ def test_maxval_too_large_rejected():
     assert err.value.offset == 7
 
 
+@pytest.mark.parametrize("what,payload,offset", [
+    ("width", b"P2 " + b"1" * 5000 + b" 1 255 0", 3),
+    ("height", b"P2 1 #c\n" + b"1" * 5000 + b" 255 0", 8),
+    ("maxval", b"P5 1 1 " + b"1" * 5000 + b" \x00", 7),
+    ("width", b"P6 " + b"9" * 19 + b" 1 255 abc", 3),
+])
+def test_overlong_header_number_rejected_at_first_digit(what, payload, offset):
+    with pytest.raises(PnmDecodeError) as err:
+        read_pnm(payload)
+    assert str(err.value).startswith(f"{what} has more than 18 significant digits")
+    assert err.value.offset == offset
+
+
+def test_header_leading_zeros_are_not_significant():
+    img = read_pnm(b"P2 " + b"0" * 5000 + b"1 1 00255 7")
+    assert np.allclose(img.data, [[7 / 255.0]])
+
+
 def test_truncated_binary_payload():
     with pytest.raises(PnmDecodeError) as err:
         read_pnm(b"P5 2 2 255 " + bytes([1, 2]))

@@ -12,6 +12,7 @@ from vesselmf import (
     max_response,
     normalize_response,
 )
+from vesselmf.kernels import KernelBank
 from vesselmf.response import ResponseImage
 
 
@@ -24,6 +25,19 @@ def naive_convolve(image: GrayImage, kernel) -> np.ndarray:
     for r in range(image.height):
         for c in range(image.width):
             out[r, c] = float(np.sum(padded[r:r + kh, c:c + kw] * kernel.weights))
+    return out
+
+
+def shifted_sum_correlate(image: GrayImage, kernel) -> np.ndarray:
+    """The direct sum of ``naive_convolve``, one kernel offset at a time."""
+    kh, kw = kernel.weights.shape
+    padded = np.pad(image.data, ((kh // 2, kh // 2), (kw // 2, kw // 2)),
+                    mode="edge")
+    out = np.zeros((image.height, image.width))
+    for dv in range(kh):
+        for du in range(kw):
+            out += kernel.weights[dv, du] * padded[dv:dv + image.height,
+                                                   du:du + image.width]
     return out
 
 
@@ -76,6 +90,55 @@ class TestConvolve:
         img = GrayImage.from_array(np.zeros((10, 10)))
         with pytest.raises(ValueError):
             convolve(img, bank.kernels[0])
+
+
+class TestFftPath:
+    """The FFT correlation at sizes that stress padding and transform length."""
+
+    def test_shifted_sum_is_the_naive_sum(self, bank):
+        img = GrayImage.from_array(np.random.default_rng(6).random((19, 23)))
+        for kernel in bank.kernels[:3]:
+            assert np.abs(shifted_sum_correlate(img, kernel)
+                          - naive_convolve(img, kernel)).max() <= 1e-12
+
+    @pytest.mark.parametrize("height,width,oracle", [
+        (17, 15, naive_convolve),          # exactly kernel-sized
+        (61, 67, naive_convolve),          # prime dimensions
+        (584, 565, shifted_sum_correlate),  # DRIVE frame: 600x579 padded
+    ])
+    def test_awkward_sizes_match_direct_sum(self, height, width, oracle):
+        bank = build_bank(KernelParams(sigma=1.5, length=9))
+        assert bank.kernels[0].weights.shape == (17, 15)
+        rng = np.random.default_rng(height * width)
+        img = GrayImage.from_array(rng.random((height, width)))
+        expected = np.stack([oracle(img, k) for k in bank.kernels])
+        for kernel, want in zip(bank.kernels, expected):
+            assert np.abs(convolve(img, kernel) - want).max() <= 1e-9
+        resp = max_response(img, bank)
+        assert np.abs(resp.response - expected.max(axis=0)).max() <= 1e-9
+        assert np.array_equal(resp.best_orientation, expected.argmax(axis=0))
+
+    def test_one_row_short_of_kernel_rejected(self):
+        bank = build_bank(KernelParams(sigma=1.5, length=9))
+        img = GrayImage.from_array(np.full((16, 15), 0.5))
+        with pytest.raises(ValueError, match="smaller than kernel"):
+            max_response(img, bank)
+
+    @pytest.mark.parametrize("value", [1 / 3, 0.63])
+    @pytest.mark.parametrize("height,width", [(17, 15), (37, 29), (61, 67)])
+    def test_constant_image_exactly_constant_response(self, bank, value,
+                                                      height, width):
+        img = GrayImage.from_array(np.full((height, width), value))
+        resp = max_response(img, bank)
+        assert np.ptp(resp.response) == 0
+        assert normalize_response(resp).degenerate
+
+    def test_duplicated_kernels_tie_to_first(self, bank):
+        dup = KernelBank(params=bank.params, kernels=(bank.kernels[4],) * 3)
+        img = GrayImage.from_array(np.random.default_rng(7).random((40, 33)))
+        resp = max_response(img, dup)
+        assert np.all(resp.best_orientation == 0)
+        assert np.array_equal(resp.response, convolve(img, bank.kernels[4]))
 
 
 def _stripe_image(size=48, col=24, depth=0.5, sigma=1.2, background=0.9):
