@@ -13,8 +13,6 @@ from .kernels import (
 )
 from .metrics import (
     ConfusionCounts,
-    MetricsReport,
-    RocCurve,
     UndefinedRocError,
     auc,
     basic_metrics,
@@ -32,12 +30,9 @@ from .segment import (
     Histogram,
     PipelineParams,
     PipelineStageError,
-    SegmentationResult,
-    ThresholdDiagnostics,
     apply_mask,
     binarize,
     build_histogram,
-    class_variances,
     complement,
     default_min_component_size,
     length_filter,
@@ -48,7 +43,6 @@ from .segment import (
 from .sweep import (
     GridSpec,
     SweepError,
-    SweepResult,
     evaluate_combo,
     length_search,
     three_round_search,

@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +26,7 @@ from .kernels import KernelParams, build_bank
 from .metrics import auc, evaluate_pair, roc_curve
 from .pnm import read_pnm, write_pnm
 from .preprocess import ClaheParams
-from .response import normalize_response
-from .segment import (
-    PipelineParams,
-    default_min_component_size,
-    drain,
-    pipeline_stages,
-    run_pipeline,
-)
+from .segment import PipelineParams, default_min_component_size, run_pipeline
 from .sweep import GridSpec, SweepError, length_search, three_round_search
 
 
@@ -162,14 +155,15 @@ def _discover_flat(root: Path) -> DatasetManifest:
 
 
 def _load_entry(entry: ManifestEntry, with_gt: bool):
+    """(image, fov, gt) of one entry; errors leave naming the id to the caller."""
     image = read_pnm(entry.image_path.read_bytes())
     if isinstance(image, GrayImage):
-        raise DatasetError(f"{entry.id}: expected a color image")
+        raise DatasetError("expected a color image")
     fov = load_mask(read_pnm(entry.fov_mask_path.read_bytes()))
     gt = None
     if with_gt:
         if entry.ground_truth_path is None:
-            raise DatasetError(f"{entry.id}: no ground truth available")
+            raise DatasetError("no ground truth available")
         gt = load_mask(read_pnm(entry.ground_truth_path.read_bytes()))
     return image, fov, gt
 
@@ -243,9 +237,15 @@ def _setting(args, config, key, default):
     return default
 
 
-def resolve_pipeline_params(args, image_size=None) -> PipelineParams:
-    """Merge flags over config-file values over defaults."""
-    config = _read_config(args.config) if args.config else {}
+def resolve_pipeline_params(args, image_size=None, config=None) -> PipelineParams:
+    """Merge flags over config-file values over defaults.
+
+    ``config`` is the parsed ``--config`` file, read here when not given.
+    Without a ``--min-size``, the cutoff is 30 pixels scaled by the area of
+    ``image_size`` (30 when no size is given).
+    """
+    if config is None:
+        config = _read_config(args.config) if args.config else {}
     tiles = _setting(args, config, "clahe-tiles", 8)
     min_size = _setting(args, config, "min-size", None)
     if min_size is None:
@@ -314,88 +314,98 @@ def _process_entries(manifest, worker, threads):
         return list(pool.map(worker, manifest.entries))
 
 
+def _run_entries(args, output, with_gt=False, threads=1, on_stage=None):
+    """Run the pipeline on every dataset entry and ``output`` on each result.
+
+    The params, ``--config`` included, are resolved and checked and the bank
+    is built once, before any image is read; per entry only the default
+    ``--min-size`` follows the image area.  ``output(entry_id, result, fov,
+    gt)`` writes or scores one result; ``on_stage(entry_id)``, when given,
+    returns that entry's ``run_pipeline`` stage callback.  Failures print as
+    ``error: <id>: ...`` in manifest order, then one ``failed:`` line.
+    Returns the ``(id, output value, params)`` of each entry that succeeded,
+    in manifest order, and the exit code.
+    """
+    config = _read_config(args.config) if args.config else {}
+    params = resolve_pipeline_params(args, config=config)
+    scale_min_size = _setting(args, config, "min-size", None) is None
+    bank = build_bank(params.kernel)
+    manifest = discover_dataset(args.dataset_dir, args.layout)
+
+    def worker(entry):
+        try:
+            image, fov, gt = _load_entry(entry, with_gt)
+            sized = params
+            if scale_min_size:
+                sized = replace(params, min_component_size=(
+                    default_min_component_size(image.width, image.height)))
+            result = run_pipeline(image, fov, sized, bank,
+                                  on_stage(entry.id) if on_stage else None)
+            return entry.id, output(entry.id, result, fov, gt), sized
+        except Exception as exc:
+            return entry.id, exc, None
+
+    done, failures = [], []
+    for entry_id, value, sized in _process_entries(manifest, worker, threads):
+        if sized is None:
+            failures.append(entry_id)
+            print(f"error: {entry_id}: {value}", file=sys.stderr)
+        else:
+            done.append((entry_id, value, sized))
+    if failures:
+        print(f"failed: {', '.join(failures)}", file=sys.stderr)
+    return done, 1 if failures else 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_segment(args) -> int:
-    manifest = discover_dataset(args.dataset_dir, args.layout)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    failures = []
 
-    for entry in manifest.entries:
-        try:
-            image, fov, _ = _load_entry(entry, with_gt=False)
-            params = resolve_pipeline_params(args, (image.width, image.height))
-            bank = build_bank(params.kernel)
-            on_stage = _stage_writer(out_dir / f"{entry.id}_stages") \
-                if args.dump_stages else None
-            result = drain(pipeline_stages(image, fov, params, bank), on_stage)
-            (out_dir / f"{entry.id}_vessels.pgm").write_bytes(
-                write_pnm(result.vessel_map))
-            if args.dump_mfr:
-                (out_dir / f"{entry.id}_mfr.pgm").write_bytes(
-                    write_pnm(normalize_response(result.mfr)))
-        except Exception as exc:
-            failures.append(entry.id)
-            print(f"error: {entry.id}: {exc}", file=sys.stderr)
+    def write_maps(entry_id, result, fov, gt):
+        (out_dir / f"{entry_id}_vessels.pgm").write_bytes(
+            write_pnm(result.vessel_map))
+        if args.dump_mfr:
+            (out_dir / f"{entry_id}_mfr.pgm").write_bytes(
+                write_pnm(result.mfr_image))
 
-    if failures:
-        print(f"failed: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+    _, code = _run_entries(
+        args, write_maps,
+        on_stage=_stage_writer(out_dir) if args.dump_stages else None)
+    return code
 
 
-def _stage_writer(stage_dir: Path):
-    """``drain`` callback writing each intermediate image as <name>.pgm."""
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    return lambda name, image: (stage_dir / f"{name}.pgm").write_bytes(
-        write_pnm(image))
+def _stage_writer(out_dir: Path):
+    """Per-entry ``run_pipeline`` callback: each intermediate image goes to
+    ``<id>_stages/<name>.pgm``."""
+    def for_entry(entry_id):
+        stage_dir = out_dir / f"{entry_id}_stages"
+        stage_dir.mkdir(parents=True, exist_ok=True)
+        return lambda name, image: (stage_dir / f"{name}.pgm").write_bytes(
+            write_pnm(image))
+    return for_entry
 
 
 def cmd_eval(args) -> int:
     threads = _thread_count(args)
-    manifest = discover_dataset(args.dataset_dir, args.layout)
     scope_fov = args.metrics_scope == "fov"
-    failures = []
 
-    def worker(entry):
-        try:
-            image, fov, gt = _load_entry(entry, with_gt=True)
-            params = resolve_pipeline_params(args, (image.width, image.height))
-            bank = build_bank(params.kernel)
-            result = run_pipeline(image, fov, params, bank)
-            report = evaluate_pair(
-                result.vessel_map, gt,
-                response=normalize_response(result.mfr),
-                scope=fov if scope_fov else None,
-            )
-            return entry.id, report, params
-        except Exception as exc:
-            return entry.id, exc, None
+    def score(entry_id, result, fov, gt):
+        return evaluate_pair(result.vessel_map, gt, response=result.mfr_image,
+                             scope=fov if scope_fov else None)
 
-    rows = []
-    params_meta = ""
-    for entry_id, outcome, params in _process_entries(manifest, worker, threads):
-        if isinstance(outcome, Exception):
-            failures.append(entry_id)
-            print(f"error: {entry_id}: {outcome}", file=sys.stderr)
-            continue
-        if params is not None:
-            params_meta = _params_meta(params)
-        rows.append((entry_id, outcome))
-
+    done, code = _run_entries(args, score, with_gt=True, threads=threads)
+    rows = [(entry_id, report) for entry_id, report, _ in done]
+    meta = _params_meta(done[-1][2]) if done else ""
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        _write_eval_json(report_path, rows, params_meta)
+        _write_eval_json(report_path, rows, meta)
     else:
-        _write_eval_csv(report_path, rows, params_meta)
-
-    if failures:
-        print(f"failed: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+        _write_eval_csv(report_path, rows, meta)
+    return code
 
 
 def _average(values):
@@ -440,41 +450,26 @@ def _write_eval_json(path: Path, rows, meta: str):
 
 
 def cmd_roc(args) -> int:
-    manifest = discover_dataset(args.dataset_dir, args.layout)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    failures = []
-    summary = []
-    params_meta = ""
 
-    for entry in manifest.entries:
-        try:
-            image, fov, gt = _load_entry(entry, with_gt=True)
-            params = resolve_pipeline_params(args, (image.width, image.height))
-            params_meta = _params_meta(params)
-            bank = build_bank(params.kernel)
-            result = run_pipeline(image, fov, params, bank)
-            curve = roc_curve(normalize_response(result.mfr), gt)
-            curve_lines = ["fpr,tpr"] + [
-                f"{fpr:.6f},{tpr:.6f}" for fpr, tpr in curve.points
-            ]
-            (out_dir / f"{entry.id}_roc.csv").write_text(
-                "\n".join(curve_lines) + "\n")
-            summary.append((entry.id, auc(curve)))
-        except Exception as exc:
-            failures.append(entry.id)
-            print(f"error: {entry.id}: {exc}", file=sys.stderr)
+    def write_curve(entry_id, result, fov, gt):
+        curve = roc_curve(result.mfr_image, gt)
+        curve_lines = ["fpr,tpr"] + [
+            f"{fpr:.6f},{tpr:.6f}" for fpr, tpr in curve.points
+        ]
+        (out_dir / f"{entry_id}_roc.csv").write_text(
+            "\n".join(curve_lines) + "\n")
+        return auc(curve)
 
-    lines = [f"# vesselmf roc {params_meta}".rstrip(), "image,auc"]
-    lines += [f"{name},{_fmt(a)}" for name, a in summary]
-    if summary:
-        lines.append(f"Average,{_fmt(_average([a for _, a in summary]))}")
+    done, code = _run_entries(args, write_curve, with_gt=True)
+    meta = _params_meta(done[-1][2]) if done else ""
+    lines = [f"# vesselmf roc {meta}".rstrip(), "image,auc"]
+    lines += [f"{name},{_fmt(a)}" for name, a, _ in done]
+    if done:
+        lines.append(f"Average,{_fmt(_average([a for _, a, _ in done]))}")
     (out_dir / "roc_summary.csv").write_text("\n".join(lines) + "\n")
-
-    if failures:
-        print(f"failed: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+    return code
 
 
 def _parse_grid(spec: str) -> GridSpec:
@@ -492,8 +487,10 @@ def cmd_sweep(args) -> int:
         return 2
     dataset = []
     for entry in manifest.entries:
-        image, fov, gt = _load_entry(entry, with_gt=True)
-        dataset.append((image, fov, gt))
+        try:
+            dataset.append(_load_entry(entry, with_gt=True))
+        except Exception as exc:
+            raise DatasetError(f"{entry.id}: {exc}") from exc
     base = resolve_pipeline_params(
         args, (dataset[0][0].width, dataset[0][0].height))
 
@@ -525,9 +522,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if args.action != "dump":
-        print(f"unknown kernel action {args.action!r}", file=sys.stderr)
-        return 2
     params = resolve_pipeline_params(args).kernel
     bank = build_bank(params)
     out_dir = Path(args.out)

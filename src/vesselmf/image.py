@@ -8,7 +8,7 @@ construction; none of the pipeline stages write into an input array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,12 +49,15 @@ class GrayImage:
 
     ``degenerate`` marks images produced by a stage that hit its
     flat-input fallback (constant color image, constant filter response).
+    ``levels`` is the 256-level quantization every consumer reads.
     """
 
     width: int
     height: int
     data: np.ndarray
     degenerate: bool = False
+    _levels: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
@@ -79,6 +82,13 @@ class GrayImage:
             raise ValueError(f"expected 2-D array, got shape {arr.shape}")
         return cls(width=arr.shape[1], height=arr.shape[0], data=arr,
                    degenerate=degenerate)
+
+    @property
+    def levels(self) -> np.ndarray:
+        """``quantize_levels(data)`` as uint8, computed on first use and kept."""
+        if self._levels is None:
+            self._levels = quantize_levels(self.data).astype(np.uint8)
+        return self._levels
 
 
 @dataclass

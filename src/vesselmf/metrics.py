@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import BinaryImage, GrayImage, quantize_levels
+from .image import BinaryImage, GrayImage
 
 
 class UndefinedRocError(ValueError):
@@ -119,7 +119,7 @@ def roc_curve(response: GrayImage, gt: BinaryImage,
     appended.
     """
     _check_dims(response, gt)
-    levels = quantize_levels(response.data)
+    levels = response.levels
     truth = gt.data
     if scope is not None:
         _check_dims(response, scope, "scope and image")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import BinaryImage, GrayImage, RgbImage, quantize_levels
+from .image import BinaryImage, GrayImage, RgbImage
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _MAGICS = {b"P2", b"P3", b"P5", b"P6"}
@@ -233,7 +233,7 @@ def write_pnm(image, format: str = "binary") -> bytes:
         flat = image.data.reshape(-1).astype(np.uint8)
         color = True
     elif isinstance(image, GrayImage):
-        flat = quantize_levels(image.data).reshape(-1).astype(np.uint8)
+        flat = image.levels.reshape(-1)
         color = False
     elif isinstance(image, BinaryImage):
         flat = np.where(image.data, 255, 0).reshape(-1).astype(np.uint8)

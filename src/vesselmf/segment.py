@@ -4,8 +4,8 @@ The response image is quantized to 256 levels, thresholded at the level
 maximizing between-class variance, cleaned of small connected components,
 and clipped to the camera field of view.  ``pipeline_stages`` declares the
 order of all stages, preprocessing and filtering included, once: it yields
-each intermediate image, ``run_pipeline`` drops them and the CLI's stage
-dumps write them.
+each intermediate image, and ``run_pipeline`` hands each to an optional
+callback (the CLI's stage dumps) or drops it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import BinaryImage, GrayImage, RgbImage, quantize_levels
+from .image import BinaryImage, GrayImage, RgbImage
 from .kernels import KernelBank, KernelParams
 from .preprocess import ClaheParams, clahe, luma_grayscale, pca_grayscale
 from .response import ResponseImage, max_response, normalize_response
@@ -87,7 +87,8 @@ class PipelineParams:
 @dataclass
 class SegmentationResult:
     vessel_map: BinaryImage          # vessel = True, False outside the FOV
-    mfr: ResponseImage
+    mfr: ResponseImage               # raw response and winning orientation
+    mfr_image: GrayImage             # mfr normalized to [0, 1]; Otsu's input
     diagnostics: ThresholdDiagnostics
     degenerate_flags: set = field(default_factory=set)
 
@@ -108,7 +109,7 @@ def default_min_component_size(width: int, height: int, base: int = 30) -> int:
 
 def build_histogram(image: GrayImage, mask: BinaryImage | None = None) -> Histogram:
     """Count quantized levels, optionally over mask-true pixels only."""
-    levels = quantize_levels(image.data)
+    levels = image.levels
     if mask is not None:
         if (mask.width, mask.height) != (image.width, image.height):
             raise ValueError("mask dimensions do not match image")
@@ -191,26 +192,10 @@ def otsu_threshold(h: Histogram) -> ThresholdDiagnostics:
     )
 
 
-def class_variances(h: Histogram, k: int):
-    """Within-class variances at split k, or None for an empty class."""
-    counts = h.counts.astype(np.float64)
-    levels = np.arange(256, dtype=np.float64)
-    lo_w = counts[: k + 1].sum()
-    hi_w = counts[k + 1:].sum()
-    var0 = var1 = None
-    if lo_w > 0:
-        m0 = (levels[: k + 1] @ counts[: k + 1]) / lo_w
-        var0 = float(((levels[: k + 1] - m0) ** 2 @ counts[: k + 1]) / lo_w)
-    if hi_w > 0:
-        m1 = (levels[k + 1:] @ counts[k + 1:]) / hi_w
-        var1 = float(((levels[k + 1:] - m1) ** 2 @ counts[k + 1:]) / hi_w)
-    return var0, var1
-
-
 def binarize(image: GrayImage, k_star: int,
              mask: BinaryImage | None = None) -> BinaryImage:
     """True where the quantized level is strictly above ``k_star``."""
-    out = quantize_levels(image.data) > k_star
+    out = image.levels > k_star
     if mask is not None:
         if (mask.width, mask.height) != (image.width, image.height):
             raise ValueError("mask dimensions do not match image")
@@ -301,7 +286,8 @@ def pipeline_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
     response), 04_threshold, 05_length_filtered, 06_masked (the vessel map)
     and 07_complement, the inverted rendering some figures show.  The vessel
     map keeps vessel-as-True polarity throughout.  The generator returns the
-    SegmentationResult; ``drain`` runs it to the end and hands that back.
+    SegmentationResult; ``run_pipeline`` runs it to the end and hands that
+    back.
     """
     if (rgb.width, rgb.height) != (fov.width, fov.height):
         raise ValueError("FOV mask dimensions do not match image")
@@ -348,17 +334,22 @@ def pipeline_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
     return SegmentationResult(
         vessel_map=vessels,
         mfr=resp,
+        mfr_image=norm,
         diagnostics=diag,
         degenerate_flags=flags,
     )
 
 
-def drain(stages, on_stage=None) -> SegmentationResult:
-    """Run a ``pipeline_stages`` generator to the end and return its result.
+def run_pipeline(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
+                 bank: KernelBank, on_stage=None) -> SegmentationResult:
+    """Full per-image run: gray, enhance, filter, threshold, clean, mask.
 
-    ``on_stage(name, image)``, when given, sees each intermediate as it is
-    produced; none is kept.
+    Deterministic: identical inputs give bit-identical maps.  The stages are
+    those of ``pipeline_stages``; ``on_stage(name, image)``, when given, sees
+    each intermediate as it is produced.  No intermediate is kept beyond
+    what the result holds.
     """
+    stages = pipeline_stages(rgb, fov, params, bank)
     while True:
         try:
             name, image = next(stages)
@@ -366,14 +357,3 @@ def drain(stages, on_stage=None) -> SegmentationResult:
             return done.value
         if on_stage is not None:
             on_stage(name, image)
-
-
-def run_pipeline(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
-                 bank: KernelBank) -> SegmentationResult:
-    """Full per-image run: gray, enhance, filter, threshold, clean, mask.
-
-    Deterministic: identical inputs give bit-identical maps.  The stages are
-    those of ``pipeline_stages``; the intermediates are dropped as the run
-    goes.
-    """
-    return drain(pipeline_stages(rgb, fov, params, bank))

@@ -344,3 +344,98 @@ def test_cli_import_loads_no_scipy():
     loaded_from, scipy_modules = run.stdout.splitlines()
     assert Path(loaded_from).resolve().parent == Path(vesselmf.__file__).resolve().parent
     assert scipy_modules == "[]"
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` wherever a vesselmf module holds it; the returned
+    list gets one entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or mod_name.split(".")[0] != "vesselmf":
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_eval_quantizes_and_normalizes_each_mfr_once(tmp_path, monkeypatch):
+    _make_drive_tree(tmp_path / "data", n=2)
+    quantized = _count_calls(monkeypatch, vesselmf.image, "quantize_levels")
+    normalized = _count_calls(monkeypatch, vesselmf.response, "normalize_response")
+    code = main(["eval", "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", "--report", str(tmp_path / "r.csv"),
+                 *PIPE_FLAGS])
+    assert code == 0
+    assert len(quantized) == 2
+    assert len(normalized) == 2
+
+
+def test_segment_dumps_quantize_each_gray_image_once(tmp_path, monkeypatch):
+    _make_drive_tree(tmp_path / "data", n=2)
+    quantized = _count_calls(monkeypatch, vesselmf.image, "quantize_levels")
+    normalized = _count_calls(monkeypatch, vesselmf.response, "normalize_response")
+    code = main(["segment", "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", "--out", str(tmp_path / "out"),
+                 "--dump-mfr", "--dump-stages", *PIPE_FLAGS])
+    assert code == 0
+    # 01_gray, 02_enhanced and the MFR, which the histogram, the binarize
+    # step, 03_mfr.pgm and <id>_mfr.pgm share
+    assert len(quantized) == 3 * 2
+    assert len(normalized) == 2
+
+
+@pytest.mark.parametrize("command,out_flag", [
+    ("segment", "--out"), ("eval", "--report"), ("roc", "--out"),
+])
+def test_bank_built_once_per_command(tmp_path, monkeypatch, command, out_flag):
+    _make_drive_tree(tmp_path / "data", n=2)
+    built = _count_calls(monkeypatch, vesselmf.kernels, "build_bank")
+    code = main([command, "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", out_flag, str(tmp_path / "out"),
+                 *PIPE_FLAGS])
+    assert code == 0
+    assert len(built) == 1
+
+
+def test_eval_bad_config_exits_2_before_any_image_is_read(
+        tmp_path, monkeypatch, capsys):
+    _make_drive_tree(tmp_path / "data", n=2)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("sigma = 1.5\nnonsense = 1\n")
+    reads = _count_calls(monkeypatch, vesselmf.pnm, "read_pnm")
+    code = main(["eval", "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", "--report", str(tmp_path / "r.csv"),
+                 "--config", str(bad)])
+    assert code == 2
+    assert reads == []
+    assert capsys.readouterr().err == f"error: {bad}:2: unknown key 'nonsense'\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_sweep_and_eval_name_the_truncated_entry(tmp_path, capsys):
+    phantom = generate_phantom(size=48, fov_radius=19)
+    (tmp_path / "a.ppm").write_bytes(write_pnm(phantom.rgb)[:-10])
+    _write(tmp_path / "a_fov.pgm", phantom.fov)
+    _write(tmp_path / "a_gt.pgm", phantom.vessels)
+    listing = tmp_path / "manifest.csv"
+    listing.write_text("a.ppm,a_fov.pgm,a_gt.pgm\n")
+    dataset = ["--dataset-dir", str(listing), "--layout", "flat"]
+    truncated = ("error: a: raster truncated: need 6912 bytes, found 6902 "
+                 "(byte offset 6915)\n")
+
+    code = main(["sweep", *dataset, "--report", str(tmp_path / "s.csv"),
+                 "--l-grid", "7:8", *PIPE_FLAGS])
+    assert code == 2
+    assert capsys.readouterr().err == truncated
+
+    code = main(["eval", *dataset, "--report", str(tmp_path / "e.csv"),
+                 *PIPE_FLAGS])
+    assert code == 1
+    assert capsys.readouterr().err == truncated + "failed: a\n"

@@ -15,7 +15,6 @@ from vesselmf import (
     binarize,
     build_bank,
     build_histogram,
-    class_variances,
     complement,
     confusion,
     default_min_component_size,
@@ -24,9 +23,9 @@ from vesselmf import (
     normalize_response,
     otsu_curves,
     otsu_threshold,
+    quantize_levels,
     run_pipeline,
 )
-from vesselmf.segment import drain, pipeline_stages
 
 
 def brute_force_otsu(counts: np.ndarray) -> int:
@@ -163,14 +162,29 @@ class TestOtsu:
             assert diag.k_star == int(np.argmax(sigma_b2))
 
     def test_variance_decomposition(self):
-        # total variance = between-class + weighted within-class variance
+        # total variance = between-class + weighted within-class variance,
+        # the within-class variances taken straight from the counts
         rng = np.random.default_rng(9)
         counts = rng.integers(0, 100, 256)
         h = Histogram(counts=counts, total=int(counts.sum()))
         diag = otsu_threshold(h)
-        var0, var1 = class_variances(h, diag.k_star)
-        within = diag.omega0 * var0 + diag.omega1 * var1
+        levels = np.arange(256, dtype=np.float64)
+        k = diag.k_star
+        within = 0.0
+        for part in (slice(0, k + 1), slice(k + 1, 256)):
+            w = counts[part].astype(np.float64)
+            mean = levels[part] @ w / w.sum()
+            within += ((levels[part] - mean) ** 2 @ w) / h.total
         assert diag.sigma_b2 + within == pytest.approx(diag.sigma_t2, rel=1e-9)
+
+
+def test_levels_are_the_uint8_quantization_kept_after_first_use():
+    rng = np.random.default_rng(11)
+    img = GrayImage.from_array(rng.random((9, 7)))
+    levels = img.levels
+    assert levels.dtype == np.uint8
+    assert np.array_equal(levels, quantize_levels(img.data))
+    assert img.levels is levels
 
 
 class TestBinarize:
@@ -331,8 +345,8 @@ class TestPipeline:
         params = _phantom_params()
         bank = build_bank(params.kernel)
         seen = []
-        result = drain(pipeline_stages(phantom.rgb, phantom.fov, params, bank),
-                       lambda name, image: seen.append((name, image)))
+        result = run_pipeline(phantom.rgb, phantom.fov, params, bank,
+                              lambda name, image: seen.append((name, image)))
         stages = dict(seen)
         assert [name for name, _ in seen] == [
             "01_gray", "02_enhanced", "03_mfr", "04_threshold",
@@ -340,7 +354,8 @@ class TestPipeline:
         ]
         assert stages["06_masked"] is result.vessel_map
         assert np.array_equal(stages["07_complement"].data, ~result.vessel_map.data)
-        assert np.array_equal(stages["03_mfr"].data,
+        assert stages["03_mfr"] is result.mfr_image
+        assert np.array_equal(result.mfr_image.data,
                               normalize_response(result.mfr).data)
         again = run_pipeline(phantom.rgb, phantom.fov, params, bank)
         assert np.array_equal(again.vessel_map.data, result.vessel_map.data)
