@@ -45,6 +45,7 @@ from .sweep import (
     SweepError,
     evaluate_combo,
     length_search,
+    prepare,
     three_round_search,
 )
 

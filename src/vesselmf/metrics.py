@@ -38,13 +38,15 @@ class MetricsReport:
     sensitivity: float | None
     specificity: float | None
     accuracy: float | None
-    rmsd: float
-    mad_seg: float
-    mad_gt: float
+    rmsd: float | None
+    mad_seg: float | None
+    mad_gt: float | None
     auc: float | None = None
 
     @property
-    def mad_diff(self) -> float:
+    def mad_diff(self) -> float | None:
+        if self.mad_seg is None or self.mad_gt is None:
+            return None
         return abs(self.mad_seg - self.mad_gt)
 
 
@@ -68,14 +70,19 @@ def _check_dims(a, b, what="images"):
         )
 
 
+def _in_scope(image, scope: BinaryImage | None) -> np.ndarray:
+    """The image's pixels where the scope is True (all pixels when absent)."""
+    if scope is None:
+        return image.data
+    _check_dims(image, scope, "scope and image")
+    return image.data[scope.data]
+
+
 def confusion(seg: BinaryImage, gt: BinaryImage,
               scope: BinaryImage | None = None) -> ConfusionCounts:
     """Count agreement over scope-true pixels (all pixels when absent)."""
     _check_dims(seg, gt)
-    s, g = seg.data, gt.data
-    if scope is not None:
-        _check_dims(seg, scope, "scope and image")
-        s, g = s[scope.data], g[scope.data]
+    s, g = _in_scope(seg, scope), _in_scope(gt, scope)
     return ConfusionCounts(
         tp=int(np.count_nonzero(s & g)),
         tn=int(np.count_nonzero(~s & ~g)),
@@ -92,21 +99,31 @@ def basic_metrics(c: ConfusionCounts):
     return sens, spec, acc
 
 
-def rmsd(seg: BinaryImage, gt: BinaryImage) -> float:
-    """Root mean square of the pixel differences; 0 iff the maps coincide."""
+def rmsd(seg: BinaryImage, gt: BinaryImage,
+         scope: BinaryImage | None = None) -> float | None:
+    """Root mean square of the pixel differences over scope-true pixels (all
+    pixels when absent); 0 iff the maps coincide there, None for an empty
+    scope."""
     _check_dims(seg, gt)
-    diff = seg.data.astype(np.float64) - gt.data.astype(np.float64)
+    diff = (_in_scope(seg, scope).astype(np.float64)
+            - _in_scope(gt, scope).astype(np.float64))
+    if diff.size == 0:
+        return None
     return float(np.sqrt(np.mean(diff ** 2)))
 
 
-def mad(image, *, root: bool = True) -> float:
-    """Square root of the mean absolute deviation from the image mean.
+def mad(image, *, root: bool = True,
+        scope: BinaryImage | None = None) -> float | None:
+    """Square root of the mean absolute deviation from the image mean, over
+    scope-true pixels (all pixels when absent); None for an empty scope.
 
     ``root=False`` gives the conventional mean-absolute-deviation for
     cross-checks.  The comparison statistic between two maps is the absolute
     difference of their values.
     """
-    data = np.asarray(image.data, dtype=np.float64)
+    data = np.asarray(_in_scope(image, scope), dtype=np.float64)
+    if data.size == 0:
+        return None
     dispersion = float(np.mean(np.abs(data - data.mean())))
     return float(np.sqrt(dispersion)) if root else dispersion
 
@@ -158,7 +175,10 @@ def auc(curve: RocCurve) -> float:
 def evaluate_pair(seg: BinaryImage, gt: BinaryImage,
                   response: GrayImage | None = None,
                   scope: BinaryImage | None = None) -> MetricsReport:
-    """Assemble the full per-image report; AUC only when a response is given."""
+    """Assemble the full per-image report; AUC only when a response is given.
+
+    ``scope``, when given, restricts every metric to its True pixels.
+    """
     sens, spec, acc = basic_metrics(confusion(seg, gt, scope))
     area = None
     if response is not None:
@@ -170,8 +190,8 @@ def evaluate_pair(seg: BinaryImage, gt: BinaryImage,
         sensitivity=sens,
         specificity=spec,
         accuracy=acc,
-        rmsd=rmsd(seg, gt),
-        mad_seg=mad(seg),
-        mad_gt=mad(gt),
+        rmsd=rmsd(seg, gt, scope),
+        mad_seg=mad(seg, scope=scope),
+        mad_gt=mad(gt, scope=scope),
         auc=area,
     )

@@ -32,18 +32,27 @@ def _smooth_size(n: int) -> int:
         n += 1
 
 
-def _correlations(image: GrayImage, kernels):
-    """Yield the correlation of the image with each kernel, in order.
+@dataclass
+class ImageSpectrum:
+    """Spectrum of one image, prepared for correlation with kernels of one
+    grid shape: the image is shifted by its top-left pixel, edge-padded by
+    the kernel half-size and zero-padded to a 5-smooth transform ``shape``.
+    ``height`` x ``width`` is the image, where correlations are cropped."""
 
-    The kernels share one grid shape.  The image is shifted by one of its own
-    pixels, edge-padded by the kernel half-size and zero-padded to a 5-smooth
-    size; its spectrum is taken once, and each kernel's correlation is the
-    inverse transform of that spectrum times the conjugate of the kernel's,
-    cropped to the image.  The edge padding makes the result the
-    edge-replicated correlation, and the zero padding keeps the circular
-    wrap-around out of the crop.
+    data: np.ndarray                # rfft2 of the padded image, complex128
+    shape: tuple[int, int]          # transform shape
+    height: int
+    width: int
+
+
+def image_spectrum(image: GrayImage, kernel_shape) -> ImageSpectrum:
+    """Transform the image once for kernels of grid shape (rows, cols).
+
+    The edge padding makes each correlation the edge-replicated one, and
+    the zero padding keeps the circular wrap-around out of the crop.
+    Raises ``ValueError`` for an image smaller than the kernel.
     """
-    kh, kw = kernels[0].weights.shape
+    kh, kw = kernel_shape
     if image.height < kh or image.width < kw:
         raise ValueError(
             f"image {image.width}x{image.height} smaller than kernel {kw}x{kh}"
@@ -52,12 +61,31 @@ def _correlations(image: GrayImage, kernels):
     padded = np.pad(data - data[0, 0], ((kh // 2, kh // 2), (kw // 2, kw // 2)),
                     mode="edge")
     shape = (_smooth_size(padded.shape[0]), _smooth_size(padded.shape[1]))
-    spectrum = np.fft.rfft2(padded, s=shape)
+    return ImageSpectrum(data=np.fft.rfft2(padded, s=shape), shape=shape,
+                         height=image.height, width=image.width)
+
+
+def kernel_spectra(kernels, shape):
+    """Yield the conjugate spectrum of each kernel at transform ``shape``,
+    each a new array."""
     for kernel in kernels:
         product = np.fft.rfft2(kernel.weights, s=shape)
         np.conjugate(product, out=product)
-        product *= spectrum
-        yield np.fft.irfft2(product, s=shape)[:image.height, :image.width]
+        yield product
+
+
+def _correlations(spectrum: ImageSpectrum, conj_spectra):
+    """Yield the correlation of the image with each kernel, in order.
+
+    Each conjugate kernel spectrum is multiplied by the image spectrum in
+    place, so the caller hands over arrays it no longer needs.  Keep that
+    order, ``conj(K) *= spectrum``: ``spectrum * conj(K)`` differs in the
+    last bit.
+    """
+    for product in conj_spectra:
+        product *= spectrum.data
+        yield np.fft.irfft2(product, s=spectrum.shape)[:spectrum.height,
+                                                        :spectrum.width]
 
 
 def convolve(image: GrayImage, kernel: Kernel) -> np.ndarray:
@@ -72,18 +100,21 @@ def convolve(image: GrayImage, kernel: Kernel) -> np.ndarray:
     rather than FFT round-off that normalization would stretch to [0, 1].
     Raises ``ValueError`` for an image smaller than the kernel.
     """
-    return next(_correlations(image, [kernel])).copy()
+    spectrum = image_spectrum(image, kernel.weights.shape)
+    products = kernel_spectra([kernel], spectrum.shape)
+    return next(_correlations(spectrum, products)).copy()
 
 
-def max_response(image: GrayImage, bank: KernelBank) -> ResponseImage:
-    """Pointwise maximum over all orientation responses.
+def spectrum_response(spectrum: ImageSpectrum, conj_spectra) -> ResponseImage:
+    """Pointwise maximum over the correlations with each kernel.
 
-    Each orientation's response is the FFT correlation of ``convolve``; a
-    running maximum and argmax are kept, so no orientation stack is built.
-    Ties go to the lowest orientation index (a later orientation must be
-    strictly greater), which keeps the winner map deterministic.
+    ``conj_spectra`` are the conjugate kernel spectra at ``spectrum.shape``
+    in orientation order; they are overwritten.  A running maximum and
+    argmax are kept, so no orientation stack is built.  Ties go to the
+    lowest orientation index (a later orientation must be strictly
+    greater), which keeps the winner map deterministic.
     """
-    responses = _correlations(image, bank.kernels)
+    responses = _correlations(spectrum, conj_spectra)
     best = next(responses).copy()
     winner = np.zeros(best.shape, dtype=np.intp)
     better = np.empty(best.shape, dtype=bool)
@@ -92,11 +123,23 @@ def max_response(image: GrayImage, bank: KernelBank) -> ResponseImage:
         np.maximum(best, response, out=best)
         np.copyto(winner, index, where=better)
     return ResponseImage(
-        width=image.width,
-        height=image.height,
+        width=spectrum.width,
+        height=spectrum.height,
         response=best,
         best_orientation=winner,
     )
+
+
+def max_response(image: GrayImage, bank: KernelBank) -> ResponseImage:
+    """Pointwise maximum over all orientation responses.
+
+    Each orientation's response is the FFT correlation of ``convolve``:
+    the image spectrum is taken once, and each kernel spectrum is computed
+    when its orientation comes up.
+    """
+    spectrum = image_spectrum(image, bank.kernels[0].weights.shape)
+    return spectrum_response(
+        spectrum, kernel_spectra(bank.kernels, spectrum.shape))
 
 
 def normalize_response(resp: ResponseImage) -> GrayImage:

@@ -5,7 +5,9 @@ maximizing between-class variance, cleaned of small connected components,
 and clipped to the camera field of view.  ``pipeline_stages`` declares the
 order of all stages, preprocessing and filtering included, once: it yields
 each intermediate image, and ``run_pipeline`` hands each to an optional
-callback (the CLI's stage dumps) or drops it.
+callback (the CLI's stage dumps) or drops it.  The stages before and after
+the filter are their own generators, ``enhance_stages`` and
+``response_stages``, so a parameter sweep can run the first once per image.
 """
 
 from __future__ import annotations
@@ -278,56 +280,54 @@ def complement(image: BinaryImage) -> BinaryImage:
     return BinaryImage.from_array(~image.data)
 
 
-def pipeline_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
-                    bank: KernelBank):
-    """Run the pipeline one stage at a time, yielding ``(name, image)``.
+def run_stage(name: str, fn, *args):
+    """``fn(*args)``, with any failure raised as a ``PipelineStageError``."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
 
-    The stages, in order: 01_gray, 02_enhanced, 03_mfr (the normalized
-    response), 04_threshold, 05_length_filtered, 06_masked (the vessel map)
-    and 07_complement, the inverted rendering some figures show.  The vessel
-    map keeps vessel-as-True polarity throughout.  The generator returns the
-    SegmentationResult; ``run_pipeline`` runs it to the end and hands that
-    back.
-    """
+
+def enhance_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
+                   flags: set):
+    """The stages before the filter: yield 01_gray and 02_enhanced, return
+    the enhanced image.  Checks first that the FOV mask fits the image."""
     if (rgb.width, rgb.height) != (fov.width, fov.height):
         raise ValueError("FOV mask dimensions do not match image")
-
-    flags: set[str] = set()
-
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:
-            raise PipelineStageError(name, exc) from exc
-
     if params.gray_mode == "luma":
-        gray = stage("grayscale", luma_grayscale, rgb)
+        gray = run_stage("grayscale", luma_grayscale, rgb)
     else:
-        gray = stage("pca_grayscale", pca_grayscale, rgb)
+        gray = run_stage("pca_grayscale", pca_grayscale, rgb)
     if gray.degenerate:
         flags.add("pca_grayscale")
     yield "01_gray", gray
 
-    enhanced = stage("clahe", clahe, gray, params.clahe)
+    enhanced = run_stage("clahe", clahe, gray, params.clahe)
     yield "02_enhanced", enhanced
-    resp = stage("max_response", max_response, enhanced, bank)
-    norm = stage("normalize_response", normalize_response, resp)
+    return enhanced
+
+
+def response_stages(resp: ResponseImage, fov: BinaryImage,
+                    params: PipelineParams, flags: set):
+    """The stages after the filter: yield 03_mfr to 07_complement, return
+    the SegmentationResult."""
+    norm = run_stage("normalize_response", normalize_response, resp)
     if norm.degenerate:
         flags.add("normalize_response")
     yield "03_mfr", norm
 
     hist_mask = fov if params.otsu_scope == "fov-only" else None
-    hist = stage("build_histogram", build_histogram, norm, hist_mask)
-    diag = stage("otsu_threshold", otsu_threshold, hist)
+    hist = run_stage("build_histogram", build_histogram, norm, hist_mask)
+    diag = run_stage("otsu_threshold", otsu_threshold, hist)
     if diag.degenerate:
         flags.add("otsu_threshold")
 
-    binary = stage("binarize", binarize, norm, diag.k_star)
+    binary = run_stage("binarize", binarize, norm, diag.k_star)
     yield "04_threshold", binary
-    cleaned = stage("length_filter", length_filter, binary,
-                    params.min_component_size)
+    cleaned = run_stage("length_filter", length_filter, binary,
+                        params.min_component_size)
     yield "05_length_filtered", cleaned
-    vessels = stage("apply_mask", apply_mask, cleaned, fov)
+    vessels = run_stage("apply_mask", apply_mask, cleaned, fov)
     yield "06_masked", vessels
     yield "07_complement", complement(vessels)
 
@@ -340,6 +340,36 @@ def pipeline_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
     )
 
 
+def pipeline_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
+                    bank: KernelBank):
+    """Run the pipeline one stage at a time, yielding ``(name, image)``.
+
+    The stages, in order: 01_gray, 02_enhanced, 03_mfr (the normalized
+    response), 04_threshold, 05_length_filtered, 06_masked (the vessel map)
+    and 07_complement, the inverted rendering some figures show.  The vessel
+    map keeps vessel-as-True polarity throughout.  The generator returns the
+    SegmentationResult; ``run_stages`` runs it to the end and hands that
+    back.  The parameter sweep runs ``enhance_stages`` once per image and
+    ``response_stages`` once per image and parameter combination.
+    """
+    flags: set[str] = set()
+    enhanced = yield from enhance_stages(rgb, fov, params, flags)
+    resp = run_stage("max_response", max_response, enhanced, bank)
+    return (yield from response_stages(resp, fov, params, flags))
+
+
+def run_stages(stages, on_stage=None):
+    """Run a stage generator to the end and return its value, handing each
+    ``(name, image)`` to ``on_stage`` when given."""
+    while True:
+        try:
+            name, image = next(stages)
+        except StopIteration as done:
+            return done.value
+        if on_stage is not None:
+            on_stage(name, image)
+
+
 def run_pipeline(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
                  bank: KernelBank, on_stage=None) -> SegmentationResult:
     """Full per-image run: gray, enhance, filter, threshold, clean, mask.
@@ -349,11 +379,4 @@ def run_pipeline(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
     each intermediate as it is produced.  No intermediate is kept beyond
     what the result holds.
     """
-    stages = pipeline_stages(rgb, fov, params, bank)
-    while True:
-        try:
-            name, image = next(stages)
-        except StopIteration as done:
-            return done.value
-        if on_stage is not None:
-            on_stage(name, image)
+    return run_stages(pipeline_stages(rgb, fov, params, bank), on_stage)

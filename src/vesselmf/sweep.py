@@ -3,9 +3,15 @@
 The truncation half-width and profile scale are searched jointly over three
 rounds: a coarse grid, then a window of +/-0.5 at step 0.1 around the best
 point (clamped to the coarse bounds), then +/-0.1 at step 0.01.  The
-segment length gets its own one-dimensional integer scan.  The kernel bank
-is rebuilt for every combination; nothing is cached across parameter
-values.
+segment length gets its own one-dimensional integer scan.
+
+The searched values (x_limit, sigma, length) change only the kernel bank,
+so each search first runs ``prepare``: per image, the gray conversion,
+CLAHE and the padded image spectrum, once.  ``evaluate_combo`` then builds
+the bank and its conjugate kernel spectra once per combination and
+transform shape, and per image does only the spectrum products, inverse
+transforms and the pipeline stages after the filter.  A combination a
+search visits again (each round's center) is scored once.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ import numpy as np
 
 from .kernels import build_bank
 from .metrics import basic_metrics, confusion
-from .segment import PipelineParams, run_pipeline
+from .response import image_spectrum, kernel_spectra, spectrum_response
+from .segment import (PipelineParams, enhance_stages, response_stages,
+                      run_stage, run_stages)
 
 # Lower clamp for both searched axes; keeps sigma and the truncation
 # half-width positive in the fine rounds.
@@ -52,7 +60,8 @@ class SweepResult:
     """Full evaluation log plus the argmax tuple and per-round winners.
 
     Every entry is (x_limit, sigma, length, mean_accuracy); the log keeps
-    grid order, so re-evaluations of a round's center appear once per round.
+    grid order, so a round's center, visited again by the next round,
+    appears once per round.
     """
 
     evaluations: list
@@ -60,15 +69,75 @@ class SweepResult:
     round_bests: list
 
 
-def evaluate_combo(dataset, params: PipelineParams) -> float:
-    """Mean accuracy of the pipeline over (image, fov, gt) triples."""
+@dataclass
+class PreparedDataset:
+    """What no searched parameter changes, computed once per search.
+
+    ``images`` holds one (ImageSpectrum, fov, gt) triple per dataset image,
+    in dataset order; ``base`` holds the settings the spectra were built
+    with.
+    """
+
+    base: PipelineParams
+    images: list
+
+
+def _prepared_settings(params: PipelineParams) -> dict:
+    """The settings an image spectrum depends on."""
+    return {"gray_mode": params.gray_mode, "clahe": params.clahe,
+            "grid_rows": params.kernel.grid_rows,
+            "grid_cols": params.kernel.grid_cols}
+
+
+def prepare(dataset, base: PipelineParams) -> PreparedDataset:
+    """Gray conversion, CLAHE and image spectrum of each (image, fov, gt).
+
+    A bad image fails here, once, with its index, before any combination
+    is evaluated.
+    """
     if not dataset:
         raise SweepError("empty dataset")
-    bank = build_bank(params.kernel)
-    accuracies = []
+    kernel_shape = (base.kernel.grid_rows, base.kernel.grid_cols)
+    images = []
     for index, (image, fov, gt) in enumerate(dataset):
         try:
-            result = run_pipeline(image, fov, params, bank)
+            if (gt.width, gt.height) != (image.width, image.height):
+                raise ValueError("ground truth dimensions do not match image")
+            enhanced = run_stages(enhance_stages(image, fov, base, set()))
+            spectrum = run_stage("max_response", image_spectrum, enhanced,
+                                 kernel_shape)
+        except Exception as exc:
+            raise SweepError(f"image #{index} failed: {exc}") from exc
+        images.append((spectrum, fov, gt))
+    return PreparedDataset(base=base, images=images)
+
+
+def evaluate_combo(prepared: PreparedDataset, params: PipelineParams) -> float:
+    """Mean accuracy of the pipeline over the prepared images.
+
+    ``params`` may differ from the prepared base only in what comes after
+    the image spectrum: the kernel's x_limit, sigma, length and number of
+    orientations, the Otsu scope and the component size.
+    """
+    prepared_with = _prepared_settings(prepared.base)
+    for name, value in _prepared_settings(params).items():
+        if value != prepared_with[name]:
+            raise SweepError(
+                f"{name}={value!r} differs from the prepared "
+                f"{name}={prepared_with[name]!r}"
+            )
+    bank = build_bank(params.kernel)
+    spectra = {}        # transform shape -> conjugate kernel spectra
+    accuracies = []
+    for index, (spectrum, fov, gt) in enumerate(prepared.images):
+        try:
+            if spectrum.shape not in spectra:
+                spectra[spectrum.shape] = list(
+                    kernel_spectra(bank.kernels, spectrum.shape))
+            products = (k.copy() for k in spectra[spectrum.shape])
+            resp = run_stage("max_response", spectrum_response, spectrum,
+                             products)
+            result = run_stages(response_stages(resp, fov, params, set()))
             _, _, acc = basic_metrics(confusion(result.vessel_map, gt))
             if acc is None:
                 raise ValueError("accuracy undefined (no pixels)")
@@ -87,11 +156,26 @@ def _combo_params(base: PipelineParams, x_limit, sigma, length) -> PipelineParam
     return replace(base, kernel=kernel)
 
 
-def _run_grid(dataset, base, xs, sigmas, length, log):
+def _scorer(dataset, base: PipelineParams):
+    """Mean accuracy by (x_limit, sigma, length), over a dataset prepared
+    once; a combination asked for again is not evaluated again."""
+    prepared = prepare(dataset, base)
+    scores = {}
+
+    def score(x, sigma, length) -> float:
+        key = (float(x), float(sigma), float(length))
+        if key not in scores:
+            scores[key] = evaluate_combo(prepared, _combo_params(base, *key))
+        return scores[key]
+
+    return score
+
+
+def _run_grid(score, xs, sigmas, length, log):
     best = None
     for x in xs:
         for s in sigmas:
-            acc = evaluate_combo(dataset, _combo_params(base, x, s, length))
+            acc = score(x, s, length)
             log.append((x, s, length, acc))
             if best is None or acc > best[3]:
                 best = (x, s, length, acc)
@@ -119,11 +203,11 @@ def three_round_search(dataset, round1_x: GridSpec, round1_sigma: GridSpec,
     the search never leaves the declared domain.  Ties at every stage break
     to the lexicographically smallest (x, sigma).
     """
+    score = _scorer(dataset, base)
     log: list = []
     round_bests = []
 
-    _run_grid(dataset, base, round1_x.values(), round1_sigma.values(),
-              length, log)
+    _run_grid(score, round1_x.values(), round1_sigma.values(), length, log)
     round_bests.append(_argmax(log))
 
     for radius, step in ((0.5, 0.1), (0.1, 0.01)):
@@ -131,7 +215,7 @@ def three_round_search(dataset, round1_x: GridSpec, round1_sigma: GridSpec,
         grid_x = _window(bx, radius, step, round1_x.lo, round1_x.hi)
         grid_s = _window(bs, radius, step, round1_sigma.lo, round1_sigma.hi)
         start = len(log)
-        _run_grid(dataset, base, grid_x.values(), grid_s.values(), length, log)
+        _run_grid(score, grid_x.values(), grid_s.values(), length, log)
         round_bests.append(_argmax(log[start:]))
 
     return SweepResult(evaluations=log, best=_argmax(log),
@@ -143,14 +227,15 @@ def length_search(dataset, lengths, base: PipelineParams) -> SweepResult:
 
     Ties break to the smallest length.
     """
+    lengths = list(lengths)
+    if not lengths:
+        raise SweepError("empty length grid")
+    score = _scorer(dataset, base)
     log: list = []
     x = base.kernel.x_limit
     s = base.kernel.sigma
     for length in lengths:
-        acc = evaluate_combo(dataset, _combo_params(base, x, s, length))
-        log.append((x, s, float(length), acc))
-    if not log:
-        raise SweepError("empty length grid")
+        log.append((x, s, float(length), score(x, s, length)))
     best = max(log, key=lambda e: (e[3], -e[2]))
     return SweepResult(evaluations=log, best=best, round_bests=[best])
 

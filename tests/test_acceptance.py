@@ -34,6 +34,7 @@ from vesselmf import (
     length_filter,
     load_mask,
     otsu_threshold,
+    prepare,
     read_pnm,
     rmsd,
     roc_curve,
@@ -272,7 +273,8 @@ def test_criterion_9_sweep_shape():
     final_x = result.best[0]
     grid = [round(rs.lo + 0.01 * i, 10)
             for i in range(int(round((rs.hi - rs.lo) / 0.01)) + 1)]
-    accs = [evaluate_combo(dataset, _combo_params(base, final_x, s, 7))
+    prepared = prepare(dataset, base)
+    accs = [evaluate_combo(prepared, _combo_params(base, final_x, s, 7))
             for s in grid]
     oracle_sigma = grid[int(np.argmax(accs))]
     sigma_ok = abs(result.best[1] - oracle_sigma) <= 0.1 + 1e-9

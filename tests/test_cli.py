@@ -439,3 +439,13 @@ def test_sweep_and_eval_name_the_truncated_entry(tmp_path, capsys):
                  *PIPE_FLAGS])
     assert code == 1
     assert capsys.readouterr().err == truncated + "failed: a\n"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """``python -m vesselmf`` works from a checkout with only PYTHONPATH set."""
+    src = str(Path(vesselmf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "kernels"
+    subprocess.run([sys.executable, "-m", "vesselmf", "kernel", "dump",
+                    "--out", str(out)], env=env, timeout=120, check=True)
+    assert len(list(out.glob("kernel_*.txt"))) == 12

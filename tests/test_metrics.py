@@ -205,3 +205,22 @@ class TestEvaluatePair:
         report = evaluate_pair(seg, seg,
                                response=GrayImage.from_array(np.ones((3, 3))))
         assert report.auc is None
+
+    def test_scope_covers_every_metric(self):
+        gt = _binary(np.zeros((4, 4)))
+        arr = np.zeros((4, 4), dtype=bool)
+        arr[0, 0] = True
+        seg = _binary(arr)
+        scope = _binary(~arr)     # the one segmented pixel lies outside
+        scoped = evaluate_pair(seg, gt, scope=scope)
+        assert (scoped.accuracy, scoped.rmsd, scoped.mad_diff) == (1.0, 0.0, 0.0)
+        full = evaluate_pair(seg, gt)
+        assert full.accuracy == 15 / 16
+        assert full.rmsd == 0.25
+        assert full.mad_diff == pytest.approx(np.sqrt(30 / 256), abs=1e-12)
+
+    def test_empty_scope_leaves_every_metric_undefined(self):
+        seg = _binary(np.ones((3, 3)))
+        gt = _binary(np.zeros((3, 3)))
+        report = evaluate_pair(seg, gt, scope=_binary(np.zeros((3, 3))))
+        assert (report.accuracy, report.rmsd, report.mad_diff) == (None,) * 3

@@ -1,18 +1,32 @@
 """Grid arithmetic and search behavior on small phantom sets."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+import vesselmf
 from vesselmf import (
+    BinaryImage,
+    ClaheParams,
     GridSpec,
     KernelParams,
     PipelineParams,
+    RgbImage,
     SweepError,
+    basic_metrics,
+    build_bank,
+    confusion,
     evaluate_combo,
     generate_phantom,
     length_search,
+    prepare,
+    run_pipeline,
     three_round_search,
 )
 from vesselmf.sweep import _combo_params, _window
+
+from test_cli import _count_calls
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +71,8 @@ class TestGridSpec:
 
 class TestEvaluateCombo:
     def test_single_image_mean(self, small_dataset, base_params):
-        from vesselmf import basic_metrics, build_bank, confusion, run_pipeline
-
         one = small_dataset[:1]
-        mean = evaluate_combo(one, base_params)
+        mean = evaluate_combo(prepare(one, base_params), base_params)
         bank = build_bank(base_params.kernel)
         image, fov, gt = one[0]
         result = run_pipeline(image, fov, base_params, bank)
@@ -69,26 +81,28 @@ class TestEvaluateCombo:
 
     def test_duplicated_image_same_mean(self, small_dataset, base_params):
         one = small_dataset[:1]
-        assert evaluate_combo(one * 3, base_params) == pytest.approx(
-            evaluate_combo(one, base_params), abs=1e-12)
+        assert evaluate_combo(prepare(one * 3, base_params),
+                              base_params) == pytest.approx(
+            evaluate_combo(prepare(one, base_params), base_params), abs=1e-12)
 
     def test_matched_scale_beats_oversized(self, small_dataset, base_params):
         # phantom vessels have a 1.5 px profile; a 5 px kernel is mismatched
+        prepared = prepare(small_dataset, base_params)
         good = evaluate_combo(
-            small_dataset, _combo_params(base_params, 7.0, 1.5, 7))
+            prepared, _combo_params(base_params, 7.0, 1.5, 7))
         bad = evaluate_combo(
-            small_dataset, _combo_params(base_params, 7.0, 5.0, 7))
+            prepared, _combo_params(base_params, 7.0, 5.0, 7))
         assert good >= bad
 
     def test_empty_dataset_rejected(self, base_params):
         with pytest.raises(SweepError):
-            evaluate_combo([], base_params)
+            evaluate_combo(prepare([], base_params), base_params)
 
     def test_failure_names_image(self, small_dataset, base_params):
         image, fov, _ = small_dataset[0]
-        broken = [(image, fov, None)]   # confusion() will fail on None
+        broken = [(image, fov, None)]   # no ground truth to score against
         with pytest.raises(SweepError) as err:
-            evaluate_combo(broken, base_params)
+            evaluate_combo(prepare(broken, base_params), base_params)
         assert "image #0" in str(err.value)
 
 
@@ -169,3 +183,129 @@ class TestLengthSearch:
     def test_empty_grid_rejected(self, small_dataset, base_params):
         with pytest.raises(SweepError):
             length_search(small_dataset, [], base_params)
+
+
+def _criterion_9_set():
+    phantoms = [generate_phantom(size=64, seed=s, fov_radius=26)
+                for s in (1, 2, 3, 4)]
+    return [(p.rgb, p.fov, p.vessels) for p in phantoms]
+
+
+def _criterion_9_base():
+    return PipelineParams(
+        kernel=KernelParams(sigma=1.0, length=7, n_orientations=6),
+        min_component_size=8,
+    )
+
+
+def _count_kernel_transforms(monkeypatch, kernel_shape):
+    """One list entry per ``np.fft.rfft2`` call on a kernel-sized array."""
+    original = np.fft.rfft2
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == kernel_shape:
+            calls.append(kwargs.get("s"))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def criterion_9_run():
+    """The criterion-9 search once, with the per-layer calls counted."""
+    base = _criterion_9_base()
+    with pytest.MonkeyPatch.context() as mp:
+        counts = {
+            "gray": _count_calls(mp, vesselmf.preprocess, "pca_grayscale"),
+            "clahe": _count_calls(mp, vesselmf.preprocess, "clahe"),
+            "bank": _count_calls(mp, vesselmf.kernels, "build_bank"),
+            "combo": _count_calls(mp, vesselmf.sweep, "evaluate_combo"),
+            "kernel_rfft2": _count_kernel_transforms(
+                mp, (base.kernel.grid_rows, base.kernel.grid_cols)),
+        }
+        result = three_round_search(
+            _criterion_9_set(), GridSpec(5.0, 9.0, 2.0),
+            GridSpec(0.5, 3.0, 0.5), length=7, base=base)
+    return result, counts
+
+
+class TestPreparedSearch:
+    def test_repeated_combinations_evaluated_once(self, criterion_9_run):
+        result, counts = criterion_9_run
+        keys = {e[:3] for e in result.evaluations}
+        # each round re-visits the previous round's center: 315 log entries,
+        # 308 distinct (x, sigma, L)
+        assert len(result.evaluations) == 315
+        assert len(keys) == 308
+        evaluated = [(p.kernel.x_limit, p.kernel.sigma, p.kernel.length)
+                     for _, p in counts["combo"]]
+        assert len(evaluated) == len(set(evaluated)) == len(keys)
+        assert set(evaluated) == keys
+
+    def test_invariants_computed_once(self, criterion_9_run):
+        result, counts = criterion_9_run
+        distinct = len({e[:3] for e in result.evaluations})
+        assert len(counts["gray"]) == len(counts["clahe"]) == 4
+        assert len(counts["bank"]) == distinct
+        # all four images share one transform shape
+        assert len(counts["kernel_rfft2"]) == 6 * distinct
+
+    def test_bad_image_fails_once_before_any_combination(self, monkeypatch):
+        dataset = _criterion_9_set()[:2]
+        p = generate_phantom(size=6, seed=1, fov_radius=2)
+        dataset.insert(1, (p.rgb, p.fov, p.vessels))
+        combos = _count_calls(monkeypatch, vesselmf.sweep, "evaluate_combo")
+        with pytest.raises(SweepError) as err:
+            three_round_search(dataset, GridSpec(5.0, 9.0, 2.0),
+                               GridSpec(0.5, 3.0, 0.5), length=7,
+                               base=_criterion_9_base())
+        assert str(err.value) == ("image #1 failed: stage 'clahe': image 6x6 "
+                                  "smaller than tile grid 8x8")
+        assert combos == []
+
+    @pytest.mark.parametrize("change", [
+        {"gray_mode": "luma"},
+        {"clahe": ClaheParams(clip_limit=0.02)},
+        {"kernel": KernelParams(sigma=1.0, length=7, grid_rows=19)},
+        {"kernel": KernelParams(sigma=1.0, length=7, grid_cols=13)},
+    ], ids=["gray_mode", "clahe", "grid_rows", "grid_cols"])
+    def test_params_must_match_the_prepared_base(self, small_dataset,
+                                                 base_params, change):
+        prepared = prepare(small_dataset, base_params)
+        with pytest.raises(SweepError, match="differs from the prepared"):
+            evaluate_combo(prepared, replace(base_params, **change))
+
+
+def _mixed_size_set():
+    """Two 64x64 phantoms and one cropped to 48x56: two transform shapes."""
+    dataset = [(p.rgb, p.fov, p.vessels) for p in
+               (generate_phantom(size=64, seed=s, fov_radius=26) for s in (1, 2))]
+    p = generate_phantom(size=64, seed=3, fov_radius=26)
+    dataset.append(tuple(cls.from_array(im.data[:56, :48]) for cls, im in
+                         ((RgbImage, p.rgb), (BinaryImage, p.fov),
+                          (BinaryImage, p.vessels))))
+    return dataset
+
+
+@pytest.mark.parametrize("params", [
+    PipelineParams(kernel=KernelParams(sigma=1.2, length=7, n_orientations=6),
+                   min_component_size=8),
+    PipelineParams(kernel=KernelParams(sigma=2.0, length=9, x_limit=5.0,
+                                       n_orientations=4),
+                   min_component_size=5, otsu_scope="fov-only"),
+    PipelineParams(kernel=KernelParams(sigma=0.8, length=5, n_orientations=8),
+                   min_component_size=8, gray_mode="luma"),
+], ids=["pca", "fov-only", "luma"])
+def test_prepared_combo_equals_per_image_pipeline(params, monkeypatch):
+    dataset = _mixed_size_set()
+    bank = build_bank(params.kernel)
+    accuracies = []
+    for image, fov, gt in dataset:
+        result = run_pipeline(image, fov, params, bank)
+        accuracies.append(basic_metrics(confusion(result.vessel_map, gt))[2])
+    prepared = prepare(dataset, params)
+    transforms = _count_kernel_transforms(monkeypatch, (17, 15))
+    assert evaluate_combo(prepared, params) == float(np.mean(accuracies))
+    assert len(transforms) == 2 * params.kernel.n_orientations
