@@ -213,8 +213,14 @@ _CONFIG_KEYS = {
 
 
 def _read_config(path: Path) -> dict:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read config: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: cannot read config: not UTF-8 text") from None
     values = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -224,7 +230,12 @@ def _read_config(path: Path) -> dict:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = _CONFIG_KEYS[key](value.strip())
+        kind, value = _CONFIG_KEYS[key], value.strip()
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: {key} must be "
+                             f"{kind.__name__}, got {value!r}") from None
     return values
 
 
@@ -237,22 +248,15 @@ def _setting(args, config, key, default):
     return default
 
 
-def resolve_pipeline_params(args, image_size=None, config=None) -> PipelineParams:
+def resolve_pipeline_params(args, config=None) -> PipelineParams:
     """Merge flags over config-file values over defaults.
 
     ``config`` is the parsed ``--config`` file, read here when not given.
-    Without a ``--min-size``, the cutoff is 30 pixels scaled by the area of
-    ``image_size`` (30 when no size is given).
+    Without a ``--min-size``, the cutoff is 30 pixels.
     """
     if config is None:
         config = _read_config(args.config) if args.config else {}
     tiles = _setting(args, config, "clahe-tiles", 8)
-    min_size = _setting(args, config, "min-size", None)
-    if min_size is None:
-        if image_size is not None:
-            min_size = default_min_component_size(*image_size)
-        else:
-            min_size = 30
     return PipelineParams(
         kernel=KernelParams(
             sigma=_setting(args, config, "sigma", 0.57),
@@ -266,10 +270,22 @@ def resolve_pipeline_params(args, image_size=None, config=None) -> PipelineParam
             clip_limit=_setting(args, config, "clahe-clip", 0.01),
             bins=_setting(args, config, "clahe-bins", 256),
         ),
-        min_component_size=min_size,
+        min_component_size=_setting(args, config, "min-size", 30),
         otsu_scope=_setting(args, config, "otsu-scope", "full-image"),
         gray_mode=_setting(args, config, "gray", "pca"),
     )
+
+
+def _resolve_sized(args):
+    """The resolved params, and ``sized(image)``: those params with the
+    cutoff scaled by the image's area when no ``--min-size`` is set."""
+    config = _read_config(args.config) if args.config else {}
+    params = resolve_pipeline_params(args, config=config)
+    if _setting(args, config, "min-size", None) is not None:
+        return params, lambda image: params
+    return params, lambda image: replace(
+        params, min_component_size=default_min_component_size(
+            image.width, image.height))
 
 
 def _params_meta(params: PipelineParams) -> str:
@@ -326,19 +342,14 @@ def _run_entries(args, output, with_gt=False, threads=1, on_stage=None):
     Returns the ``(id, output value, params)`` of each entry that succeeded,
     in manifest order, and the exit code.
     """
-    config = _read_config(args.config) if args.config else {}
-    params = resolve_pipeline_params(args, config=config)
-    scale_min_size = _setting(args, config, "min-size", None) is None
+    params, sized_for = _resolve_sized(args)
     bank = build_bank(params.kernel)
     manifest = discover_dataset(args.dataset_dir, args.layout)
 
     def worker(entry):
         try:
             image, fov, gt = _load_entry(entry, with_gt)
-            sized = params
-            if scale_min_size:
-                sized = replace(params, min_component_size=(
-                    default_min_component_size(image.width, image.height)))
+            sized = sized_for(image)
             result = run_pipeline(image, fov, sized, bank,
                                   on_stage(entry.id) if on_stage else None)
             return entry.id, output(entry.id, result, fov, gt), sized
@@ -472,15 +483,26 @@ def cmd_roc(args) -> int:
     return code
 
 
-def _parse_grid(spec: str) -> GridSpec:
+def _parse_grid(spec: str, form: str = "lo:hi:step", kind=float) -> list:
+    """The ``kind`` values of a colon-separated grid ``spec`` of ``form``."""
     parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid {spec!r} must be lo:hi:step")
-    return GridSpec(lo=float(parts[0]), hi=float(parts[1]),
-                    step=float(parts[2]))
+    try:
+        if len(parts) != form.count(":") + 1:
+            raise ValueError
+        values = [kind(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"grid {spec!r} must be {form}") from None
+    return values
 
 
 def cmd_sweep(args) -> int:
+    _, sized_for = _resolve_sized(args)
+    if args.l_grid:
+        lengths = GridSpec(*_parse_grid(args.l_grid, "lo:hi", int),
+                           step=1).values()
+    else:
+        grid_x = GridSpec(*_parse_grid(args.round1_x))
+        grid_sigma = GridSpec(*_parse_grid(args.round1_sigma))
     manifest = discover_dataset(args.dataset_dir, args.layout)
     if len(manifest) == 0:
         print("error: sweep needs a non-empty dataset", file=sys.stderr)
@@ -491,21 +513,12 @@ def cmd_sweep(args) -> int:
             dataset.append(_load_entry(entry, with_gt=True))
         except Exception as exc:
             raise DatasetError(f"{entry.id}: {exc}") from exc
-    base = resolve_pipeline_params(
-        args, (dataset[0][0].width, dataset[0][0].height))
-
+    base = sized_for(dataset[0][0])
     if args.l_grid:
-        lo, _, hi = args.l_grid.partition(":")
-        lengths = range(int(lo), int(hi) + 1)
         result = length_search(dataset, lengths, base)
     else:
-        result = three_round_search(
-            dataset,
-            _parse_grid(args.round1_x),
-            _parse_grid(args.round1_sigma),
-            length=base.kernel.length,
-            base=base,
-        )
+        result = three_round_search(dataset, grid_x, grid_sigma,
+                                    length=base.kernel.length, base=base)
 
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)

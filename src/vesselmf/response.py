@@ -1,4 +1,9 @@
-"""Filter response aggregation across the oriented kernel bank."""
+"""Filter response aggregation across the oriented kernel bank.
+
+Correlation runs by FFT: ``image_spectrum`` and ``kernel_spectra`` prepare
+the two transforms, and ``spectrum_response`` is the one loop that
+multiplies them, inverts and keeps the running maximum over orientations.
+"""
 
 from __future__ import annotations
 
@@ -74,20 +79,6 @@ def kernel_spectra(kernels, shape):
         yield product
 
 
-def _correlations(spectrum: ImageSpectrum, conj_spectra):
-    """Yield the correlation of the image with each kernel, in order.
-
-    Each conjugate kernel spectrum is multiplied by the image spectrum in
-    place, so the caller hands over arrays it no longer needs.  Keep that
-    order, ``conj(K) *= spectrum``: ``spectrum * conj(K)`` differs in the
-    last bit.
-    """
-    for product in conj_spectra:
-        product *= spectrum.data
-        yield np.fft.irfft2(product, s=spectrum.shape)[:spectrum.height,
-                                                        :spectrum.width]
-
-
 def convolve(image: GrayImage, kernel: Kernel) -> np.ndarray:
     """Correlation of the image with one kernel, computed by FFT.
 
@@ -101,27 +92,33 @@ def convolve(image: GrayImage, kernel: Kernel) -> np.ndarray:
     Raises ``ValueError`` for an image smaller than the kernel.
     """
     spectrum = image_spectrum(image, kernel.weights.shape)
-    products = kernel_spectra([kernel], spectrum.shape)
-    return next(_correlations(spectrum, products)).copy()
+    return spectrum_response(
+        spectrum, kernel_spectra([kernel], spectrum.shape)).response
 
 
 def spectrum_response(spectrum: ImageSpectrum, conj_spectra) -> ResponseImage:
     """Pointwise maximum over the correlations with each kernel.
 
     ``conj_spectra`` are the conjugate kernel spectra at ``spectrum.shape``
-    in orientation order; they are overwritten.  A running maximum and
-    argmax are kept, so no orientation stack is built.  Ties go to the
-    lowest orientation index (a later orientation must be strictly
-    greater), which keeps the winner map deterministic.
+    in orientation order.  Each is multiplied by the image spectrum in
+    place, so they are overwritten: keep that order, ``conj(K) *=
+    spectrum``, since ``spectrum * conj(K)`` differs in the last bit.  A
+    running maximum and argmax are kept, so no orientation stack is built.
+    Ties go to the lowest orientation index (a later orientation must be
+    strictly greater), which keeps the winner map deterministic.
     """
-    responses = _correlations(spectrum, conj_spectra)
-    best = next(responses).copy()
-    winner = np.zeros(best.shape, dtype=np.intp)
-    better = np.empty(best.shape, dtype=bool)
-    for index, response in enumerate(responses, start=1):
-        np.greater(response, best, out=better)
-        np.maximum(best, response, out=best)
-        np.copyto(winner, index, where=better)
+    for index, product in enumerate(conj_spectra):
+        product *= spectrum.data
+        response = np.fft.irfft2(product, s=spectrum.shape)[:spectrum.height,
+                                                             :spectrum.width]
+        if index == 0:
+            best = response.copy()
+            winner = np.zeros(best.shape, dtype=np.intp)
+            better = np.empty(best.shape, dtype=bool)
+        else:
+            np.greater(response, best, out=better)
+            np.maximum(best, response, out=best)
+            np.copyto(winner, index, where=better)
     return ResponseImage(
         width=spectrum.width,
         height=spectrum.height,

@@ -2,11 +2,11 @@
 
 The response image is quantized to 256 levels, thresholded at the level
 maximizing between-class variance, cleaned of small connected components,
-and clipped to the camera field of view.  ``pipeline_stages`` declares the
-order of all stages, preprocessing and filtering included, once: it yields
-each intermediate image, and ``run_pipeline`` hands each to an optional
+and clipped to the camera field of view.  ``run_pipeline`` runs every
+stage, preprocessing and filtering included, in one declared order, and
+hands each intermediate image to an optional ``on_stage(name, image)``
 callback (the CLI's stage dumps) or drops it.  The stages before and after
-the filter are their own generators, ``enhance_stages`` and
+the filter are their own functions, ``enhance_stages`` and
 ``response_stages``, so a parameter sweep can run the first once per image.
 """
 
@@ -280,6 +280,10 @@ def complement(image: BinaryImage) -> BinaryImage:
     return BinaryImage.from_array(~image.data)
 
 
+def _skip(name, image):
+    """Stage callback that keeps nothing."""
+
+
 def run_stage(name: str, fn, *args):
     """``fn(*args)``, with any failure raised as a ``PipelineStageError``."""
     try:
@@ -289,9 +293,9 @@ def run_stage(name: str, fn, *args):
 
 
 def enhance_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
-                   flags: set):
-    """The stages before the filter: yield 01_gray and 02_enhanced, return
-    the enhanced image.  Checks first that the FOV mask fits the image."""
+                   flags: set, on_stage=_skip):
+    """The stages before the filter, 01_gray and 02_enhanced: returns the
+    enhanced image.  Checks first that the FOV mask fits the image."""
     if (rgb.width, rgb.height) != (fov.width, fov.height):
         raise ValueError("FOV mask dimensions do not match image")
     if params.gray_mode == "luma":
@@ -300,21 +304,22 @@ def enhance_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
         gray = run_stage("pca_grayscale", pca_grayscale, rgb)
     if gray.degenerate:
         flags.add("pca_grayscale")
-    yield "01_gray", gray
+    on_stage("01_gray", gray)
 
     enhanced = run_stage("clahe", clahe, gray, params.clahe)
-    yield "02_enhanced", enhanced
+    on_stage("02_enhanced", enhanced)
     return enhanced
 
 
 def response_stages(resp: ResponseImage, fov: BinaryImage,
-                    params: PipelineParams, flags: set):
-    """The stages after the filter: yield 03_mfr to 07_complement, return
-    the SegmentationResult."""
+                    params: PipelineParams, flags: set,
+                    on_stage=_skip) -> SegmentationResult:
+    """The stages after the filter, 03_mfr to 07_complement: returns the
+    SegmentationResult."""
     norm = run_stage("normalize_response", normalize_response, resp)
     if norm.degenerate:
         flags.add("normalize_response")
-    yield "03_mfr", norm
+    on_stage("03_mfr", norm)
 
     hist_mask = fov if params.otsu_scope == "fov-only" else None
     hist = run_stage("build_histogram", build_histogram, norm, hist_mask)
@@ -323,60 +328,33 @@ def response_stages(resp: ResponseImage, fov: BinaryImage,
         flags.add("otsu_threshold")
 
     binary = run_stage("binarize", binarize, norm, diag.k_star)
-    yield "04_threshold", binary
+    on_stage("04_threshold", binary)
     cleaned = run_stage("length_filter", length_filter, binary,
                         params.min_component_size)
-    yield "05_length_filtered", cleaned
+    on_stage("05_length_filtered", cleaned)
     vessels = run_stage("apply_mask", apply_mask, cleaned, fov)
-    yield "06_masked", vessels
-    yield "07_complement", complement(vessels)
+    on_stage("06_masked", vessels)
+    on_stage("07_complement", complement(vessels))
 
-    return SegmentationResult(
-        vessel_map=vessels,
-        mfr=resp,
-        mfr_image=norm,
-        diagnostics=diag,
-        degenerate_flags=flags,
-    )
-
-
-def pipeline_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
-                    bank: KernelBank):
-    """Run the pipeline one stage at a time, yielding ``(name, image)``.
-
-    The stages, in order: 01_gray, 02_enhanced, 03_mfr (the normalized
-    response), 04_threshold, 05_length_filtered, 06_masked (the vessel map)
-    and 07_complement, the inverted rendering some figures show.  The vessel
-    map keeps vessel-as-True polarity throughout.  The generator returns the
-    SegmentationResult; ``run_stages`` runs it to the end and hands that
-    back.  The parameter sweep runs ``enhance_stages`` once per image and
-    ``response_stages`` once per image and parameter combination.
-    """
-    flags: set[str] = set()
-    enhanced = yield from enhance_stages(rgb, fov, params, flags)
-    resp = run_stage("max_response", max_response, enhanced, bank)
-    return (yield from response_stages(resp, fov, params, flags))
-
-
-def run_stages(stages, on_stage=None):
-    """Run a stage generator to the end and return its value, handing each
-    ``(name, image)`` to ``on_stage`` when given."""
-    while True:
-        try:
-            name, image = next(stages)
-        except StopIteration as done:
-            return done.value
-        if on_stage is not None:
-            on_stage(name, image)
+    return SegmentationResult(vessel_map=vessels, mfr=resp, mfr_image=norm,
+                              diagnostics=diag, degenerate_flags=flags)
 
 
 def run_pipeline(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
                  bank: KernelBank, on_stage=None) -> SegmentationResult:
     """Full per-image run: gray, enhance, filter, threshold, clean, mask.
 
-    Deterministic: identical inputs give bit-identical maps.  The stages are
-    those of ``pipeline_stages``; ``on_stage(name, image)``, when given, sees
-    each intermediate as it is produced.  No intermediate is kept beyond
-    what the result holds.
+    The stages, in order: 01_gray, 02_enhanced, 03_mfr (the normalized
+    response), 04_threshold, 05_length_filtered, 06_masked (the vessel map)
+    and 07_complement, the inverted rendering some figures show.  The vessel
+    map keeps vessel-as-True polarity throughout.  ``on_stage(name,
+    image)``, when given, is called with each as it is produced; what it
+    raises reaches the caller unwrapped and stops the run.  Deterministic:
+    identical inputs give bit-identical maps.  No intermediate is kept
+    beyond what the result holds.
     """
-    return run_stages(pipeline_stages(rgb, fov, params, bank), on_stage)
+    on_stage = on_stage or _skip
+    flags: set[str] = set()
+    enhanced = enhance_stages(rgb, fov, params, flags, on_stage)
+    resp = run_stage("max_response", max_response, enhanced, bank)
+    return response_stages(resp, fov, params, flags, on_stage)

@@ -7,11 +7,11 @@ segment length gets its own one-dimensional integer scan.
 
 The searched values (x_limit, sigma, length) change only the kernel bank,
 so each search first runs ``prepare``: per image, the gray conversion,
-CLAHE and the padded image spectrum, once.  ``evaluate_combo`` then builds
-the bank and its conjugate kernel spectra once per combination and
-transform shape, and per image does only the spectrum products, inverse
-transforms and the pipeline stages after the filter.  A combination a
-search visits again (each round's center) is scored once.
+CLAHE (``segment.enhance_stages``) and the padded image spectrum, once.
+``evaluate_combo`` then builds the bank and its conjugate kernel spectra
+once per combination and transform shape, and per image runs only
+``response.spectrum_response`` and ``segment.response_stages``.  A
+combination a search visits again (each round's center) is scored once.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 from .kernels import build_bank
 from .metrics import basic_metrics, confusion
 from .response import image_spectrum, kernel_spectra, spectrum_response
-from .segment import (PipelineParams, enhance_stages, response_stages,
-                      run_stage, run_stages)
+from .segment import PipelineParams, enhance_stages, response_stages, run_stage
 
 # Lower clamp for both searched axes; keeps sigma and the truncation
 # half-width positive in the fine rounds.
@@ -103,7 +102,7 @@ def prepare(dataset, base: PipelineParams) -> PreparedDataset:
         try:
             if (gt.width, gt.height) != (image.width, image.height):
                 raise ValueError("ground truth dimensions do not match image")
-            enhanced = run_stages(enhance_stages(image, fov, base, set()))
+            enhanced = enhance_stages(image, fov, base, set())
             spectrum = run_stage("max_response", image_spectrum, enhanced,
                                  kernel_shape)
         except Exception as exc:
@@ -137,7 +136,7 @@ def evaluate_combo(prepared: PreparedDataset, params: PipelineParams) -> float:
             products = (k.copy() for k in spectra[spectrum.shape])
             resp = run_stage("max_response", spectrum_response, spectrum,
                              products)
-            result = run_stages(response_stages(resp, fov, params, set()))
+            result = response_stages(resp, fov, params, set())
             _, _, acc = basic_metrics(confusion(result.vessel_map, gt))
             if acc is None:
                 raise ValueError("accuracy undefined (no pixels)")

@@ -404,19 +404,87 @@ def test_bank_built_once_per_command(tmp_path, monkeypatch, command, out_flag):
     assert len(built) == 1
 
 
-def test_eval_bad_config_exits_2_before_any_image_is_read(
-        tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_bad_config_exits_2_before_any_image_is_read(
+        tmp_path, monkeypatch, capsys, command):
     _make_drive_tree(tmp_path / "data", n=2)
     bad = tmp_path / "bad.cfg"
     bad.write_text("sigma = 1.5\nnonsense = 1\n")
     reads = _count_calls(monkeypatch, vesselmf.pnm, "read_pnm")
-    code = main(["eval", "--dataset-dir", str(tmp_path / "data"),
+    code = main([command, "--dataset-dir", str(tmp_path / "data"),
                  "--layout", "drive", "--report", str(tmp_path / "r.csv"),
                  "--config", str(bad)])
     assert code == 2
     assert reads == []
     assert capsys.readouterr().err == f"error: {bad}:2: unknown key 'nonsense'\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+def _run_with_config(tmp_path, command, config):
+    """``command`` on an empty dataset, with ``--config config``."""
+    if command == "kernel":
+        argv = ["kernel", "dump", "--out", str(tmp_path / "out")]
+    else:
+        out_flag = "--report" if command in ("eval", "sweep") else "--out"
+        argv = [command, "--dataset-dir", str(tmp_path), "--layout", "drive",
+                out_flag, str(tmp_path / "out")]
+    return main(argv + ["--config", str(config)])
+
+
+COMMANDS = ["segment", "eval", "roc", "sweep", "kernel"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name,reason", [
+    ("nope.cfg", "No such file or directory"),
+    (".", "Is a directory"),
+    ("latin1.cfg", "not UTF-8 text"),
+])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, name, reason):
+    config = tmp_path / name
+    (tmp_path / "latin1.cfg").write_bytes(
+        "sigma = 1.5  # \xb5m\n".encode("latin-1"))
+    code = _run_with_config(tmp_path, command, config)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: cannot read config: {reason}\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("line,message", [
+    ("orientations = x", "orientations must be int, got 'x'"),
+    ("sigma = 1,5", "sigma must be float, got '1,5'"),
+    ("clahe-bins = 2.5", "clahe-bins must be int, got '2.5'"),
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, line,
+                                            message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"# kernel\n{line}\n")
+    code = _run_with_config(tmp_path, command, config)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {config}:2: {message}\n"
+
+
+@pytest.mark.parametrize("flag,spec,message", [
+    ("--l-grid", "5", "grid '5' must be lo:hi"),
+    ("--l-grid", "1:3:1", "grid '1:3:1' must be lo:hi"),
+    ("--l-grid", "7.5:9", "grid '7.5:9' must be lo:hi"),
+    ("--l-grid", "9:7", "lo 9 exceeds hi 7"),
+    ("--round1-x", "1:2", "grid '1:2' must be lo:hi:step"),
+    ("--round1-x", "a:2:0.5", "grid 'a:2:0.5' must be lo:hi:step"),
+    ("--round1-x", "1:2:0", "step must be positive"),
+])
+def test_bad_sweep_grid_exits_2_before_any_image_is_read(
+        tmp_path, monkeypatch, capsys, flag, spec, message):
+    _make_drive_tree(tmp_path / "data", n=2)
+    reads = _count_calls(monkeypatch, vesselmf.pnm, "read_pnm")
+    code = main(["sweep", "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", "--report", str(tmp_path / "s.csv"),
+                 flag, spec])
+    assert code == 2
+    assert reads == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_and_eval_name_the_truncated_entry(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import vesselmf.segment
 from vesselmf import (
     BinaryImage,
     GrayImage,
@@ -359,6 +360,32 @@ class TestPipeline:
                               normalize_response(result.mfr).data)
         again = run_pipeline(phantom.rgb, phantom.fov, params, bank)
         assert np.array_equal(again.vessel_map.data, result.vessel_map.data)
+
+    def test_callback_error_reaches_caller_and_stops_the_run(self, monkeypatch):
+        phantom = generate_phantom(size=64, seed=7)
+        params = _phantom_params()
+        bank = build_bank(params.kernel)
+        histograms = []
+
+        def counted(*args):
+            histograms.append(args)
+            return build_histogram(*args)
+
+        monkeypatch.setattr(vesselmf.segment, "build_histogram", counted)
+
+        class Stop(Exception):
+            pass
+
+        def on_stage(name, image):
+            if name == "03_mfr":
+                raise Stop(name)
+
+        with pytest.raises(Stop) as err:
+            run_pipeline(phantom.rgb, phantom.fov, params, bank, on_stage)
+        assert type(err.value) is Stop
+        assert histograms == []
+        run_pipeline(phantom.rgb, phantom.fov, params, bank)
+        assert len(histograms) == 1
 
     def test_dimension_mismatch_rejected(self):
         phantom = generate_phantom(size=64)
