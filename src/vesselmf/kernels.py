@@ -49,6 +49,10 @@ class KernelParams:
             raise ValueError("x_limit must be positive")
         if self.length < 1:
             raise ValueError("length must be at least 1")
+        for name in ("sigma", "length", "x_limit"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.n_orientations < 1:
             raise ValueError("n_orientations must be at least 1")
         if self.grid_cols < 1 or self.grid_cols % 2 == 0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import build_bank
+from .kernels import KernelConstructionError, build_bank
 from .metrics import basic_metrics, confusion
 from .response import image_spectrum, kernel_spectra, spectrum_response
 from .segment import PipelineParams, enhance_stages, response_stages, run_stage
@@ -29,6 +29,9 @@ from .segment import PipelineParams, enhance_stages, response_stages, run_stage
 # Lower clamp for both searched axes; keeps sigma and the truncation
 # half-width positive in the fine rounds.
 _MIN_AXIS_VALUE = 0.01
+
+# Most values one grid may hold; the default round-1 grids hold 20.
+MAX_GRID_VALUES = 10_000
 
 
 class SweepError(RuntimeError):
@@ -44,13 +47,25 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
+        for name in ("lo", "hi", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"grid {name} must be finite, got {getattr(self, name)}")
         if self.lo > self.hi:
             raise ValueError(f"lo {self.lo} exceeds hi {self.hi}")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        # more than MAX_GRID_VALUES values, counted without building them
+        if self._span() >= MAX_GRID_VALUES:
+            raise ValueError(
+                f"grid {self.lo:g}:{self.hi:g}:{self.step:g} holds more than "
+                f"{MAX_GRID_VALUES} values")
+
+    def _span(self) -> float:
+        return (self.hi - self.lo) / self.step + 1e-9
 
     def values(self) -> list[float]:
-        n = int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
+        n = int(math.floor(self._span())) + 1
         return [self.lo + i * self.step for i in range(n)]
 
 
@@ -60,7 +75,8 @@ class SweepResult:
 
     Every entry is (x_limit, sigma, length, mean_accuracy); the log keeps
     grid order, so a round's center, visited again by the next round,
-    appears once per round.
+    appears once per round.  The accuracy is None for a combination whose
+    kernel bank cannot be built; such an entry is never a best.
     """
 
     evaluations: list
@@ -157,28 +173,27 @@ def _combo_params(base: PipelineParams, x_limit, sigma, length) -> PipelineParam
 
 def _scorer(dataset, base: PipelineParams):
     """Mean accuracy by (x_limit, sigma, length), over a dataset prepared
-    once; a combination asked for again is not evaluated again."""
+    once, or None where the kernel bank cannot be built (e.g. a flat
+    profile); a combination asked for again is not evaluated again."""
     prepared = prepare(dataset, base)
     scores = {}
 
-    def score(x, sigma, length) -> float:
+    def score(x, sigma, length) -> float | None:
         key = (float(x), float(sigma), float(length))
         if key not in scores:
-            scores[key] = evaluate_combo(prepared, _combo_params(base, *key))
+            try:
+                scores[key] = evaluate_combo(prepared,
+                                             _combo_params(base, *key))
+            except KernelConstructionError:
+                scores[key] = None
         return scores[key]
 
     return score
 
 
 def _run_grid(score, xs, sigmas, length, log):
-    best = None
-    for x in xs:
-        for s in sigmas:
-            acc = score(x, s, length)
-            log.append((x, s, length, acc))
-            if best is None or acc > best[3]:
-                best = (x, s, length, acc)
-    return best
+    log.extend((x, s, length, score(x, s, length))
+               for x in xs for s in sigmas)
 
 
 def _window(center: float, radius: float, step: float,
@@ -235,11 +250,21 @@ def length_search(dataset, lengths, base: PipelineParams) -> SweepResult:
     s = base.kernel.sigma
     for length in lengths:
         log.append((x, s, float(length), score(x, s, length)))
-    best = max(log, key=lambda e: (e[3], -e[2]))
+    best = max(_defined(log), key=lambda e: (e[3], -e[2]))
     return SweepResult(evaluations=log, best=best, round_bests=[best])
+
+
+def _defined(entries):
+    """The entries with an accuracy; a SweepError when there is none."""
+    defined = [e for e in entries if e[3] is not None]
+    if not defined:
+        raise SweepError(f"none of {len(entries)} combinations has a kernel "
+                         "bank that can be built")
+    return defined
 
 
 def _argmax(entries):
     """Highest accuracy; ties to the lexicographically smallest (x, sigma)."""
+    entries = _defined(entries)
     top = max(e[3] for e in entries)
     return min((e for e in entries if e[3] == top), key=lambda e: (e[0], e[1]))

@@ -212,7 +212,7 @@ def _dataset_average(root: str, layout: str, sigma: float, length: int):
     params = PipelineParams(kernel=KernelParams(sigma=sigma, length=length))
     bank = build_bank(params.kernel)
     sums = np.zeros(2)
-    for entry in manifest.entries:
+    for entry in manifest:
         image = read_pnm(entry.image_path.read_bytes())
         fov = load_mask(read_pnm(entry.fov_mask_path.read_bytes()))
         gt = load_mask(read_pnm(entry.ground_truth_path.read_bytes()))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,14 @@ from vesselmf import (
     write_pnm,
 )
 from vesselmf.cli import (
+    _PIPELINE_FLAGS,
     DatasetError,
     ThreadCountError,
     _thread_count,
+    build_parser,
     discover_dataset,
     main,
+    resolve_pipeline_params,
 )
 
 
@@ -64,9 +68,9 @@ class TestDiscover:
     def test_drive_layout(self, tmp_path):
         _make_drive_tree(tmp_path / "drive", n=3)
         manifest = discover_dataset(tmp_path / "drive", "drive")
-        assert [e.id for e in manifest.entries] == [
+        assert [e.id for e in manifest] == [
             "01_test", "02_test", "03_test"]
-        assert all(e.ground_truth_path is not None for e in manifest.entries)
+        assert all(e.ground_truth_path is not None for e in manifest)
 
     def test_drive_nested_directories(self, tmp_path):
         root = tmp_path / "drive"
@@ -77,7 +81,7 @@ class TestDiscover:
         _write(root / "mask" / "01_test_mask.pgm", phantom.fov)
         manifest = discover_dataset(root, "drive")
         assert len(manifest) == 1
-        assert manifest.entries[0].ground_truth_path is None
+        assert manifest[0].ground_truth_path is None
 
     def test_missing_mask_names_id(self, tmp_path):
         root = tmp_path / "drive"
@@ -98,8 +102,8 @@ class TestDiscover:
         _write(root / "im0001.mask.pgm", phantom.fov)
         _write(root / "im0001.ah.pgm", phantom.vessels)
         manifest = discover_dataset(root, "stare")
-        assert [e.id for e in manifest.entries] == ["im0001"]
-        assert manifest.entries[0].ground_truth_path.name == "im0001.ah.pgm"
+        assert [e.id for e in manifest] == ["im0001"]
+        assert manifest[0].ground_truth_path.name == "im0001.ah.pgm"
 
     def test_flat_manifest(self, tmp_path):
         phantom = generate_phantom(size=32, fov_radius=12)
@@ -110,7 +114,7 @@ class TestDiscover:
         listing.write_text("# comment line\nimg.ppm,fov.pgm,gt.pgm\n")
         manifest = discover_dataset(listing, "flat")
         assert len(manifest) == 1
-        assert manifest.entries[0].id == "img"
+        assert manifest[0].id == "img"
 
     def test_flat_missing_file_listed(self, tmp_path):
         listing = tmp_path / "manifest.csv"
@@ -473,6 +477,11 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, line,
     ("--round1-x", "1:2", "grid '1:2' must be lo:hi:step"),
     ("--round1-x", "a:2:0.5", "grid 'a:2:0.5' must be lo:hi:step"),
     ("--round1-x", "1:2:0", "step must be positive"),
+    ("--round1-x", "1:inf:1", "grid hi must be finite, got inf"),
+    ("--round1-x", "1:nan:1", "grid hi must be finite, got nan"),
+    ("--round1-sigma", "0.5:10:1e-12",
+     "grid 0.5:10:1e-12 holds more than 10000 values"),
+    ("--l-grid", "1:20000", "grid 1:20000:1 holds more than 10000 values"),
 ])
 def test_bad_sweep_grid_exits_2_before_any_image_is_read(
         tmp_path, monkeypatch, capsys, flag, spec, message):
@@ -485,6 +494,92 @@ def test_bad_sweep_grid_exits_2_before_any_image_is_read(
     assert reads == []
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_default_sweep_logs_unbuildable_banks_as_na(tmp_path, capsys):
+    """The default round-1 grids start at x_limit 0.5, where the support is
+    one column and the profile is flat: those 20 combinations have no bank,
+    log NA and are never the best."""
+    _make_drive_tree(tmp_path / "data", n=2)
+    report = tmp_path / "s.csv"
+    code = main(["sweep", "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", "--report", str(report), *PIPE_FLAGS])
+    assert code == 0
+    rows = [line.split(",") for line in report.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows if row[3] == "NA"] == ["0.5"] * 20
+    assert len(rows) > 400
+    best = capsys.readouterr().out
+    assert best.startswith("best: x_limit=") and "NA" not in best
+    assert not best.startswith("best: x_limit=0.5 ")
+
+
+def test_nan_sigma_flag_exits_2_before_any_image_is_read(
+        tmp_path, monkeypatch, capsys):
+    _make_drive_tree(tmp_path / "data", n=2)
+    reads = _count_calls(monkeypatch, vesselmf.pnm, "read_pnm")
+    code = main(["eval", "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", "--report", str(tmp_path / "r.csv"),
+                 "--sigma", "nan"])
+    assert code == 2
+    assert reads == []
+    assert capsys.readouterr().err == "error: sigma must be finite, got nan\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_nan_sigma_config_line_exits_2(tmp_path, capsys):
+    config = tmp_path / "nan.cfg"
+    config.write_text("sigma = nan\n")
+    assert _run_with_config(tmp_path, "kernel", config) == 2
+    assert capsys.readouterr().err == "error: sigma must be finite, got nan\n"
+    assert not (tmp_path / "out").exists()
+
+
+# per pipeline setting: a value other than its default, and a second one
+SETTING_VALUES = {
+    "sigma": ("1.5", "2.5"), "length": ("9", "11"), "x-limit": ("5", "4"),
+    "orientations": ("6", "8"), "min-size": ("7", "9"),
+    "otsu-scope": ("fov-only", "full-image"), "gray": ("luma", "pca"),
+    "clahe-tiles": ("4", "2"), "clahe-clip": ("0.02", "0.05"),
+    "clahe-bins": ("128", "64"),
+}
+
+
+@pytest.mark.parametrize("key", list(_PIPELINE_FLAGS))
+def test_flag_and_config_line_resolve_alike(tmp_path, key):
+    value, other = SETTING_VALUES[key]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+
+    def resolve(*argv):
+        return resolve_pipeline_params(build_parser().parse_args(
+            ["kernel", "dump", "--out", str(tmp_path / "out"), *argv]))
+
+    by_flag = resolve(f"--{key}", value)
+    assert by_flag != resolve()
+    assert resolve("--config", str(config)) == by_flag
+    overridden = resolve("--config", str(config), f"--{key}", other)
+    assert overridden == resolve(f"--{key}", other) != by_flag
+
+
+def test_one_thread_runs_the_pipeline_on_the_calling_thread(
+        tmp_path, monkeypatch):
+    # Keep the serial path: running one thread through a one-worker pool
+    # raised the peak RSS of the STARE-size segment benchmark from 100.5 to
+    # 115.4 MB (+15%).
+    _make_drive_tree(tmp_path / "data", n=2)
+    threads = []
+    original = vesselmf.cli.run_pipeline
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(vesselmf.cli, "run_pipeline", recorded)
+    code = main(["segment", "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", "--out", str(tmp_path / "out"),
+                 *PIPE_FLAGS])
+    assert code == 0
+    assert threads == [threading.get_ident()] * 2
 
 
 def test_sweep_and_eval_name_the_truncated_entry(tmp_path, capsys):

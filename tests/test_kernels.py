@@ -136,6 +136,19 @@ class TestBank:
         with pytest.raises(ValueError):
             KernelParams(sigma=1.0, length=8, grid_cols=14)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("sigma", float("nan"), "sigma must be finite, got nan"),
+        ("length", float("nan"), "length must be finite, got nan"),
+        ("x_limit", float("inf"), "x_limit must be finite, got inf"),
+        ("sigma", float("-inf"), "sigma must be positive"),
+        ("x_limit", 0.0, "x_limit must be positive"),
+    ])
+    def test_non_finite_params_rejected(self, field, value, message):
+        kwargs = {"sigma": 1.0, "length": 8.0, field: value}
+        with pytest.raises(ValueError) as err:
+            KernelParams(**kwargs)
+        assert str(err.value) == message
+
 
 def test_fixture_matches_fresh_oracle_run():
     """The committed fixture must reproduce from the generator script."""

@@ -24,7 +24,7 @@ from vesselmf import (
     run_pipeline,
     three_round_search,
 )
-from vesselmf.sweep import _combo_params, _window
+from vesselmf.sweep import MAX_GRID_VALUES, _combo_params, _window
 
 from test_cli import _count_calls
 
@@ -67,6 +67,22 @@ class TestGridSpec:
             GridSpec(2.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             GridSpec(1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("lo,hi,step,message", [
+        (float("nan"), 1.0, 0.5, "grid lo must be finite, got nan"),
+        (0.0, float("inf"), 0.5, "grid hi must be finite, got inf"),
+        (0.0, 1.0, float("-inf"), "grid step must be finite, got -inf"),
+        (0.5, 10.0, 1e-12, "grid 0.5:10:1e-12 holds more than 10000 values"),
+        (-1e308, 1e308, 1.0, "grid -1e+308:1e+308:1 holds more than 10000 values"),
+        (1, MAX_GRID_VALUES + 1, 1, "grid 1:10001:1 holds more than 10000 values"),
+    ])
+    def test_unusable_grid_named(self, lo, hi, step, message):
+        with pytest.raises(ValueError) as err:
+            GridSpec(lo, hi, step)
+        assert str(err.value) == message
+
+    def test_grid_at_the_cap(self):
+        assert len(GridSpec(1, MAX_GRID_VALUES, 1).values()) == MAX_GRID_VALUES
 
 
 class TestEvaluateCombo:
@@ -119,6 +135,15 @@ class TestThreeRoundSearch:
         assert len(res.evaluations) == 3
         assert res.best[:2] == (7.0, 1.2)
         assert all(rb[:2] == (7.0, 1.2) for rb in res.round_bests)
+
+    def test_no_buildable_bank_is_an_error(self, small_dataset, base_params):
+        # x_limit 0.5 leaves one support column: a flat profile
+        with pytest.raises(SweepError) as err:
+            three_round_search(small_dataset, GridSpec(0.5, 0.5, 1.0),
+                               GridSpec(1.0, 2.0, 1.0), length=7,
+                               base=base_params)
+        assert str(err.value) == ("none of 2 combinations has a kernel bank "
+                                  "that can be built")
 
     def test_rounds_never_regress(self, small_dataset, base_params):
         res = three_round_search(
