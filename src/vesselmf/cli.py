@@ -454,14 +454,27 @@ def _parse_grid(spec: str, form: str = "lo:hi:step", kind=float) -> list:
     return values
 
 
+def _check_grid_ends(kernel: KernelParams, flag: str, name: str,
+                     grid: GridSpec):
+    """The kernel with ``name`` at the grid's lo and at its hi must be valid;
+    the error names ``flag``."""
+    for value in (grid.lo, grid.hi):
+        try:
+            replace(kernel, **{name: value})
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
-    _, sized_for = _resolve_sized(args)
+    params, sized_for = _resolve_sized(args)
     if args.l_grid:
-        lengths = GridSpec(*_parse_grid(args.l_grid, "lo:hi", int),
-                           step=1).values()
+        grid_l = GridSpec(*_parse_grid(args.l_grid, "lo:hi", int), step=1)
+        _check_grid_ends(params.kernel, "--l-grid", "length", grid_l)
     else:
         grid_x = GridSpec(*_parse_grid(args.round1_x))
         grid_sigma = GridSpec(*_parse_grid(args.round1_sigma))
+        _check_grid_ends(params.kernel, "--round1-x", "x_limit", grid_x)
+        _check_grid_ends(params.kernel, "--round1-sigma", "sigma", grid_sigma)
     manifest = discover_dataset(args.dataset_dir, args.layout)
     if len(manifest) == 0:
         print("error: sweep needs a non-empty dataset", file=sys.stderr)
@@ -474,7 +487,7 @@ def cmd_sweep(args) -> int:
             raise DatasetError(f"{entry.id}: {exc}") from exc
     base = sized_for(dataset[0][0])
     if args.l_grid:
-        result = length_search(dataset, lengths, base)
+        result = length_search(dataset, grid_l.values(), base)
     else:
         result = three_round_search(dataset, grid_x, grid_sigma,
                                     length=base.kernel.length, base=base)

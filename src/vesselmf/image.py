@@ -1,9 +1,10 @@
 """Raster containers shared across the pipeline.
 
-All images are row-major numpy arrays wrapped with their dimensions:
-8-bit color (``RgbImage``), unit-interval gray (``GrayImage``) and boolean
-masks (``BinaryImage``).  Instances are treated as immutable values after
+All images are row-major numpy arrays whose shape is their size: 8-bit
+color (``RgbImage``), unit-interval gray (``GrayImage``) and boolean masks
+(``BinaryImage``).  Instances are treated as immutable values after
 construction; none of the pipeline stages write into an input array.
+``check_same_size`` is the one size check between two images.
 """
 
 from __future__ import annotations
@@ -17,34 +18,58 @@ _RANGE_SLACK = 1e-9
 
 
 @dataclass
-class RgbImage:
-    """8-bit color raster; ``data`` has shape (height, width, 3)."""
+class _Raster:
+    """``data`` converted to the class's dtype, (height, width[, 3])."""
 
-    width: int
-    height: int
     data: np.ndarray
 
+    _dtype = None           # set by each image class
+    _channels = None        # 3 for a color raster, None for a 2-D one
+
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.uint8)
-        if self.width < 1 or self.height < 1:
+        arr = np.asarray(self.data, dtype=self._dtype)
+        if self._channels is None:
+            if arr.ndim != 2:
+                raise ValueError(f"expected 2-D array, got shape {arr.shape}")
+        elif arr.ndim != 3 or arr.shape[2] != self._channels:
+            raise ValueError(f"expected (h, w, 3) array, got shape {arr.shape}")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("image dimensions must be at least 1x1")
-        if arr.shape != (self.height, self.width, 3):
-            raise ValueError(
-                f"rgb data shape {arr.shape} does not match "
-                f"{self.height}x{self.width}x3"
-            )
         self.data = arr
 
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
     @classmethod
-    def from_array(cls, arr) -> "RgbImage":
-        arr = np.asarray(arr, dtype=np.uint8)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ValueError(f"expected (h, w, 3) array, got shape {arr.shape}")
-        return cls(width=arr.shape[1], height=arr.shape[0], data=arr)
+    def from_array(cls, arr, **kwargs):
+        """``cls(arr, **kwargs)``, the constructor callers use."""
+        return cls(arr, **kwargs)
+
+
+def check_same_size(a, b, what: str):
+    """Raise ``ValueError`` unless images ``a`` and ``b`` have one size;
+    ``what`` names the two images in the message."""
+    if (a.width, a.height) != (b.width, b.height):
+        raise ValueError(
+            f"{what} differ in size: {a.width}x{a.height} vs {b.width}x{b.height}"
+        )
 
 
 @dataclass
-class GrayImage:
+class RgbImage(_Raster):
+    """8-bit color raster; ``data`` has shape (height, width, 3)."""
+
+    _dtype = np.uint8
+    _channels = 3
+
+
+@dataclass
+class GrayImage(_Raster):
     """Real-valued raster with every sample in [0, 1].
 
     ``degenerate`` marks images produced by a stage that hit its
@@ -52,36 +77,19 @@ class GrayImage:
     ``levels`` is the 256-level quantization every consumer reads.
     """
 
-    width: int
-    height: int
-    data: np.ndarray
+    _dtype = np.float64
     degenerate: bool = False
     _levels: np.ndarray | None = field(default=None, init=False, repr=False,
                                        compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be at least 1x1")
-        if arr.shape != (self.height, self.width):
-            raise ValueError(
-                f"gray data shape {arr.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
+        super().__post_init__()
+        arr = self.data
         lo, hi = arr.min(), arr.max()
         if lo < -_RANGE_SLACK or hi > 1.0 + _RANGE_SLACK:
             raise ValueError(f"gray values outside [0, 1]: min={lo}, max={hi}")
         if lo < 0.0 or hi > 1.0:
-            arr = np.clip(arr, 0.0, 1.0)
-        self.data = arr
-
-    @classmethod
-    def from_array(cls, arr, degenerate: bool = False) -> "GrayImage":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected 2-D array, got shape {arr.shape}")
-        return cls(width=arr.shape[1], height=arr.shape[0], data=arr,
-                   degenerate=degenerate)
+            self.data = np.clip(arr, 0.0, 1.0)
 
     @property
     def levels(self) -> np.ndarray:
@@ -92,30 +100,10 @@ class GrayImage:
 
 
 @dataclass
-class BinaryImage:
+class BinaryImage(_Raster):
     """Boolean raster; True marks foreground (vessel) pixels."""
 
-    width: int
-    height: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=bool)
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be at least 1x1")
-        if arr.shape != (self.height, self.width):
-            raise ValueError(
-                f"binary data shape {arr.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
-        self.data = arr
-
-    @classmethod
-    def from_array(cls, arr) -> "BinaryImage":
-        arr = np.asarray(arr, dtype=bool)
-        if arr.ndim != 2:
-            raise ValueError(f"expected 2-D array, got shape {arr.shape}")
-        return cls(width=arr.shape[1], height=arr.shape[0], data=arr)
+    _dtype = bool
 
     def count(self) -> int:
         return int(np.count_nonzero(self.data))

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Most orientations a bank may hold: one kernel per degree of the half turn.
+MAX_ORIENTATIONS = 180
+
+
 class KernelConstructionError(ValueError):
     pass
 
@@ -30,7 +34,8 @@ class KernelParams:
     sigma          scale of the Gaussian cross-profile (pixels)
     length         vessel segment length covered by one kernel (pixels)
     x_limit        half-width at which the profile tails are truncated
-    n_orientations number of rotated kernels spanning 180 degrees
+    n_orientations number of rotated kernels spanning 180 degrees, at most
+                   MAX_ORIENTATIONS
     grid_cols      grid width; spans the profile axis at orientation 0
     grid_rows      grid height; spans the length axis at orientation 0
     """
@@ -44,17 +49,19 @@ class KernelParams:
 
     def __post_init__(self):
         if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ValueError(f"sigma must be positive, got {self.sigma:g}")
         if self.x_limit <= 0:
-            raise ValueError("x_limit must be positive")
+            raise ValueError(f"x_limit must be positive, got {self.x_limit:g}")
         if self.length < 1:
-            raise ValueError("length must be at least 1")
+            raise ValueError(f"length must be at least 1, got {self.length:g}")
         for name in ("sigma", "length", "x_limit"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be finite, got {getattr(self, name)}")
-        if self.n_orientations < 1:
-            raise ValueError("n_orientations must be at least 1")
+        if not 1 <= self.n_orientations <= MAX_ORIENTATIONS:
+            raise ValueError(
+                f"n_orientations must be in 1..{MAX_ORIENTATIONS}, "
+                f"got {self.n_orientations}")
         if self.grid_cols < 1 or self.grid_cols % 2 == 0:
             raise ValueError("grid_cols must be odd so a center cell exists")
         if self.grid_rows < 1 or self.grid_rows % 2 == 0:

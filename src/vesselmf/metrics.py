@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import BinaryImage, GrayImage
+from .image import BinaryImage, GrayImage, check_same_size
 
 
 class UndefinedRocError(ValueError):
@@ -63,25 +63,18 @@ class RocCurve:
         self.points = pts
 
 
-def _check_dims(a, b, what="images"):
-    if (a.width, a.height) != (b.width, b.height):
-        raise ValueError(
-            f"{what} differ in size: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-
-
 def _in_scope(image, scope: BinaryImage | None) -> np.ndarray:
     """The image's pixels where the scope is True (all pixels when absent)."""
     if scope is None:
         return image.data
-    _check_dims(image, scope, "scope and image")
+    check_same_size(image, scope, "image and scope")
     return image.data[scope.data]
 
 
 def confusion(seg: BinaryImage, gt: BinaryImage,
               scope: BinaryImage | None = None) -> ConfusionCounts:
     """Count agreement over scope-true pixels (all pixels when absent)."""
-    _check_dims(seg, gt)
+    check_same_size(seg, gt, "segmentation and ground truth")
     s, g = _in_scope(seg, scope), _in_scope(gt, scope)
     return ConfusionCounts(
         tp=int(np.count_nonzero(s & g)),
@@ -104,7 +97,7 @@ def rmsd(seg: BinaryImage, gt: BinaryImage,
     """Root mean square of the pixel differences over scope-true pixels (all
     pixels when absent); 0 iff the maps coincide there, None for an empty
     scope."""
-    _check_dims(seg, gt)
+    check_same_size(seg, gt, "segmentation and ground truth")
     diff = (_in_scope(seg, scope).astype(np.float64)
             - _in_scope(gt, scope).astype(np.float64))
     if diff.size == 0:
@@ -135,11 +128,11 @@ def roc_curve(response: GrayImage, gt: BinaryImage,
     Points are (fpr, tpr) per threshold with (0, 0) prepended and (1, 1)
     appended.
     """
-    _check_dims(response, gt)
+    check_same_size(response, gt, "response and ground truth")
     levels = response.levels
     truth = gt.data
     if scope is not None:
-        _check_dims(response, scope, "scope and image")
+        check_same_size(response, scope, "image and scope")
         levels = levels[scope.data]
         truth = truth[scope.data]
     levels = levels.ravel()

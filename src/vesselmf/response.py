@@ -19,8 +19,6 @@ from .kernels import Kernel, KernelBank
 class ResponseImage:
     """Per-pixel maximum filter response and the orientation that won it."""
 
-    width: int
-    height: int
     response: np.ndarray            # (height, width) float64, unbounded
     best_orientation: np.ndarray    # (height, width) orientation indices
 
@@ -119,12 +117,7 @@ def spectrum_response(spectrum: ImageSpectrum, conj_spectra) -> ResponseImage:
             np.greater(response, best, out=better)
             np.maximum(best, response, out=best)
             np.copyto(winner, index, where=better)
-    return ResponseImage(
-        width=spectrum.width,
-        height=spectrum.height,
-        response=best,
-        best_orientation=winner,
-    )
+    return ResponseImage(response=best, best_orientation=winner)
 
 
 def max_response(image: GrayImage, bank: KernelBank) -> ResponseImage:

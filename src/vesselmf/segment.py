@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import BinaryImage, GrayImage, RgbImage
+from .image import BinaryImage, GrayImage, RgbImage, check_same_size
 from .kernels import KernelBank, KernelParams
 from .preprocess import ClaheParams, clahe, luma_grayscale, pca_grayscale
 from .response import ResponseImage, max_response, normalize_response
@@ -113,8 +113,7 @@ def build_histogram(image: GrayImage, mask: BinaryImage | None = None) -> Histog
     """Count quantized levels, optionally over mask-true pixels only."""
     levels = image.levels
     if mask is not None:
-        if (mask.width, mask.height) != (image.width, image.height):
-            raise ValueError("mask dimensions do not match image")
+        check_same_size(image, mask, "image and mask")
         levels = levels[mask.data]
         if levels.size == 0:
             raise ValueError("empty masked region: no pixels to count")
@@ -194,15 +193,9 @@ def otsu_threshold(h: Histogram) -> ThresholdDiagnostics:
     )
 
 
-def binarize(image: GrayImage, k_star: int,
-             mask: BinaryImage | None = None) -> BinaryImage:
+def binarize(image: GrayImage, k_star: int) -> BinaryImage:
     """True where the quantized level is strictly above ``k_star``."""
-    out = image.levels > k_star
-    if mask is not None:
-        if (mask.width, mask.height) != (image.width, image.height):
-            raise ValueError("mask dimensions do not match image")
-        out &= mask.data
-    return BinaryImage.from_array(out)
+    return BinaryImage.from_array(image.levels > k_star)
 
 
 def _root_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -267,11 +260,7 @@ def length_filter(image: BinaryImage, min_size: int) -> BinaryImage:
 
 def apply_mask(image: BinaryImage, fov: BinaryImage) -> BinaryImage:
     """Pixelwise AND with the field-of-view mask."""
-    if (image.width, image.height) != (fov.width, fov.height):
-        raise ValueError(
-            f"mask {fov.width}x{fov.height} does not match "
-            f"image {image.width}x{image.height}"
-        )
+    check_same_size(image, fov, "image and FOV mask")
     return BinaryImage.from_array(image.data & fov.data)
 
 
@@ -296,8 +285,7 @@ def enhance_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
                    flags: set, on_stage=_skip):
     """The stages before the filter, 01_gray and 02_enhanced: returns the
     enhanced image.  Checks first that the FOV mask fits the image."""
-    if (rgb.width, rgb.height) != (fov.width, fov.height):
-        raise ValueError("FOV mask dimensions do not match image")
+    check_same_size(rgb, fov, "image and FOV mask")
     if params.gray_mode == "luma":
         gray = run_stage("grayscale", luma_grayscale, rgb)
     else:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .image import check_same_size
 from .kernels import KernelConstructionError, build_bank
 from .metrics import basic_metrics, confusion
 from .response import image_spectrum, kernel_spectra, spectrum_response
@@ -116,8 +117,7 @@ def prepare(dataset, base: PipelineParams) -> PreparedDataset:
     images = []
     for index, (image, fov, gt) in enumerate(dataset):
         try:
-            if (gt.width, gt.height) != (image.width, image.height):
-                raise ValueError("ground truth dimensions do not match image")
+            check_same_size(image, gt, "image and ground truth")
             enhanced = enhance_stages(image, fov, base, set())
             spectrum = run_stage("max_response", image_spectrum, enhanced,
                                  kernel_shape)

@@ -1,9 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run with ``pytest -v -s`` to see them
-inline).  Criterion 8 reproduces the published dataset averages and only
-runs when VESSELMF_DRIVE_DIR / VESSELMF_STARE_DIR point at PNM-converted
-copies of the datasets; it is skipped otherwise.
+inline).  Criterion 8 reproduces the published dataset averages with
+``vesselmf eval`` and only runs when VESSELMF_DRIVE_DIR / VESSELMF_STARE_DIR
+point at PNM-converted copies of the datasets; it is skipped otherwise.  The
+same eval helper also runs on small phantom trees in both layouts.
 """
 
 import json
@@ -32,16 +33,15 @@ from vesselmf import (
     generate_phantom,
     kernel_at_angle,
     length_filter,
-    load_mask,
     otsu_threshold,
     prepare,
-    read_pnm,
     rmsd,
     roc_curve,
     run_pipeline,
     three_round_search,
+    write_pnm,
 )
-from vesselmf.cli import discover_dataset
+from vesselmf import cli
 from vesselmf.sweep import _combo_params, _window
 
 from test_response import naive_convolve
@@ -205,25 +205,76 @@ def test_criterion_7_metrics_closed_forms():
             f"diag AUC = {diagonal}")
 
 
-def _dataset_average(root: str, layout: str, sigma: float, length: int):
-    manifest = discover_dataset(Path(root), layout)
-    if len(manifest) == 0:
+def _dataset_average(root, layout: str, sigma: float, length: int,
+                     report: Path):
+    """``vesselmf eval`` on a dataset at min size 30 over the full image:
+    the Average row's (specificity, accuracy) and the image ids it covers."""
+    code = cli.main(["eval", "--dataset-dir", str(root), "--layout", layout,
+                     "--min-size", "30", "--sigma", str(sigma),
+                     "--length", str(length), "--format", "json",
+                     "--report", str(report)])
+    assert code == 0
+    rows = json.loads(report.read_text())["rows"]
+    if not rows:
         pytest.skip(f"no images found under {root}")
-    params = PipelineParams(kernel=KernelParams(sigma=sigma, length=length))
-    bank = build_bank(params.kernel)
-    sums = np.zeros(2)
-    for entry in manifest:
-        image = read_pnm(entry.image_path.read_bytes())
-        fov = load_mask(read_pnm(entry.fov_mask_path.read_bytes()))
-        gt = load_mask(read_pnm(entry.ground_truth_path.read_bytes()))
-        result = run_pipeline(image, fov, params, bank)
-        _, spec, acc = (lambda c: basic_metrics(c))(
-            confusion(result.vessel_map, gt))
-        sums += (spec, acc)
-    return sums / len(manifest)
+    average = rows[-1]
+    assert average["image"] == "Average"
+    return (average["specificity"], average["accuracy"],
+            [row["image"] for row in rows[:-1]])
 
 
-def test_criterion_8_published_dataset_averages():
+# layout -> (image, FOV mask, ground truth, id) of image number i
+_TREE_NAMES = {
+    "drive": ("{:02d}_test.ppm", "{:02d}_test_mask.pgm", "{:02d}_manual1.pgm",
+              "{:02d}_test"),
+    "stare": ("im{:04d}.ppm", "im{:04d}.mask.pgm", "im{:04d}.ah.pgm",
+              "im{:04d}"),
+}
+
+
+def _write_tree(root, layout: str, fov_rows: int = 128):
+    """Two 128x128 phantoms in ``layout``; each FOV mask keeps its first
+    ``fov_rows`` rows.  Returns the image ids."""
+    *files, image_id = _TREE_NAMES[layout]
+    for i in (1, 2):
+        phantom = generate_phantom(size=128, seed=i)
+        fov = BinaryImage.from_array(phantom.fov.data[:fov_rows])
+        for name, image in zip(files, (phantom.rgb, fov, phantom.vessels)):
+            (root / name.format(i)).write_bytes(write_pnm(image))
+    return [image_id.format(i) for i in (1, 2)]
+
+
+@pytest.mark.parametrize("layout,sigma,length", [
+    ("drive", 0.57, 8), ("stare", 1.57, 9)])
+def test_dataset_average_runs_eval_on_each_layout(tmp_path, layout, sigma,
+                                                  length):
+    """The criterion-8 helper on a two-image phantom tree; the published
+    targets are not checked."""
+    assert sorted(_TREE_NAMES) == sorted(cli._LAYOUTS)
+    image_ids = _write_tree(tmp_path, layout)
+    spec, acc, ids = _dataset_average(tmp_path, layout, sigma, length,
+                                      tmp_path / "report.json")
+    assert np.isfinite(spec) and np.isfinite(acc)
+    assert ids == image_ids
+
+
+def test_dataset_average_fails_when_every_image_fails(tmp_path):
+    """A pipeline error on every image fails the criterion-8 helper; only an
+    empty dataset skips it."""
+    _write_tree(tmp_path, "drive", fov_rows=100)
+    with pytest.raises(BaseException) as err:  # a skip is a BaseException
+        _dataset_average(tmp_path, "drive", 0.57, 8,
+                         tmp_path / "report.json")
+    assert err.type is AssertionError
+
+
+def test_dataset_average_skips_an_empty_dataset(tmp_path):
+    with pytest.raises(pytest.skip.Exception):
+        _dataset_average(tmp_path, "drive", 0.57, 8,
+                         tmp_path / "report.json")
+
+
+def test_criterion_8_published_dataset_averages(tmp_path):
     drive_dir = os.environ.get("VESSELMF_DRIVE_DIR")
     stare_dir = os.environ.get("VESSELMF_STARE_DIR")
     if not drive_dir and not stare_dir:
@@ -234,12 +285,15 @@ def test_criterion_8_published_dataset_averages():
     details = []
     ok = True
     if drive_dir:
-        spec, acc = _dataset_average(drive_dir, "drive", sigma=0.57, length=8)
+        spec, acc, _ = _dataset_average(drive_dir, "drive", sigma=0.57,
+                                        length=8,
+                                        report=tmp_path / "drive.json")
         ok &= abs(acc - 0.9577) <= 0.02 and abs(spec - 0.9850) <= 0.02
         details.append(f"DRIVE acc = {acc:.4f} (target 0.9577 +/- 0.02), "
                        f"spec = {spec:.4f} (target 0.9850 +/- 0.02)")
     if stare_dir:
-        _, acc = _dataset_average(stare_dir, "stare", sigma=1.57, length=9)
+        _, acc, _ = _dataset_average(stare_dir, "stare", sigma=1.57, length=9,
+                                     report=tmp_path / "stare.json")
         ok &= abs(acc - 0.9513) <= 0.02
         details.append(f"STARE acc = {acc:.4f} (target 0.9513 +/- 0.02)")
     _report(8, "published dataset averages", ok, "; ".join(details))

@@ -350,6 +350,17 @@ def test_cli_import_loads_no_scipy():
     assert scipy_modules == "[]"
 
 
+def _patch_everywhere(monkeypatch, module, name, replacement):
+    """Put ``replacement`` wherever a vesselmf module holds ``module.name``."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or mod_name.split(".")[0] != "vesselmf":
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, replacement)
+
+
 def _count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` wherever a vesselmf module holds it; the returned
     list gets one entry per call."""
@@ -360,13 +371,15 @@ def _count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod is None or mod_name.split(".")[0] != "vesselmf":
-            continue
-        for key, value in list(vars(mod).items()):
-            if value is original:
-                monkeypatch.setattr(mod, key, counted)
+    _patch_everywhere(monkeypatch, module, name, counted)
     return calls
+
+
+def _forbid_reads(monkeypatch):
+    """Fail the test if any image file is decoded."""
+    def read_pnm(*args, **kwargs):
+        raise AssertionError("read_pnm called")
+    _patch_everywhere(monkeypatch, vesselmf.pnm, "read_pnm", read_pnm)
 
 
 def test_eval_quantizes_and_normalizes_each_mfr_once(tmp_path, monkeypatch):
@@ -494,6 +507,35 @@ def test_bad_sweep_grid_exits_2_before_any_image_is_read(
     assert reads == []
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--round1-x", "0:2:0.5"], "--round1-x: x_limit must be positive, got 0"),
+    (["--round1-sigma=-1:2:0.5"],
+     "--round1-sigma: sigma must be positive, got -1"),
+    (["--l-grid", "0:5"], "--l-grid: length must be at least 1, got 0"),
+    (["--l-grid=-3:-1"], "--l-grid: length must be at least 1, got -3"),
+    (["--orientations", "181"], "n_orientations must be in 1..180, got 181"),
+])
+def test_sweep_outside_the_kernel_domain_exits_2_before_any_image_is_read(
+        tmp_path, monkeypatch, capsys, flags, message):
+    _make_drive_tree(tmp_path / "data", n=2)
+    _forbid_reads(monkeypatch)
+    code = main(["sweep", "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", "--report", str(tmp_path / "s.csv"),
+                 *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_kernel_dump_of_too_many_orientations_writes_nothing(tmp_path, capsys):
+    code = main(["kernel", "dump", "--out", str(tmp_path / "k"),
+                 "--orientations", "2000"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: n_orientations must be in 1..180, got 2000\n")
+    assert not (tmp_path / "k").exists()
 
 
 def test_default_sweep_logs_unbuildable_banks_as_na(tmp_path, capsys):

@@ -140,14 +140,30 @@ class TestBank:
         ("sigma", float("nan"), "sigma must be finite, got nan"),
         ("length", float("nan"), "length must be finite, got nan"),
         ("x_limit", float("inf"), "x_limit must be finite, got inf"),
-        ("sigma", float("-inf"), "sigma must be positive"),
-        ("x_limit", 0.0, "x_limit must be positive"),
+        ("sigma", float("-inf"), "sigma must be positive, got -inf"),
+        ("x_limit", 0.0, "x_limit must be positive, got 0"),
     ])
     def test_non_finite_params_rejected(self, field, value, message):
         kwargs = {"sigma": 1.0, "length": 8.0, field: value}
         with pytest.raises(ValueError) as err:
             KernelParams(**kwargs)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("length", 0, "length must be at least 1, got 0"),
+        ("x_limit", -0.5, "x_limit must be positive, got -0.5"),
+        ("n_orientations", 0, "n_orientations must be in 1..180, got 0"),
+        ("n_orientations", 181, "n_orientations must be in 1..180, got 181"),
+    ])
+    def test_out_of_range_params_name_the_value(self, field, value, message):
+        kwargs = {"sigma": 1.0, "length": 8.0, field: value}
+        with pytest.raises(ValueError) as err:
+            KernelParams(**kwargs)
+        assert str(err.value) == message
+
+    def test_one_degree_steps_are_the_finest_bank(self):
+        assert len(build_bank(KernelParams(sigma=1.0, length=8,
+                                           n_orientations=180))) == 180
 
 
 def test_fixture_matches_fresh_oracle_run():

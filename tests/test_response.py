@@ -205,16 +205,14 @@ class TestMaxResponse:
 
 class TestNormalizeResponse:
     def test_affine_map(self):
-        resp = ResponseImage(width=3, height=1,
-                             response=np.array([[-2.0, 0.0, 2.0]]),
+        resp = ResponseImage(response=np.array([[-2.0, 0.0, 2.0]]),
                              best_orientation=np.zeros((1, 3), dtype=int))
         out = normalize_response(resp)
         assert np.allclose(out.data, [[0.0, 0.5, 1.0]])
         assert not out.degenerate
 
     def test_constant_response_degenerate(self):
-        resp = ResponseImage(width=2, height=2,
-                             response=np.full((2, 2), 3.7),
+        resp = ResponseImage(response=np.full((2, 2), 3.7),
                              best_orientation=np.zeros((2, 2), dtype=int))
         out = normalize_response(resp)
         assert out.degenerate
@@ -223,7 +221,7 @@ class TestNormalizeResponse:
     def test_monotone(self):
         rng = np.random.default_rng(5)
         vals = rng.normal(size=(6, 6))
-        resp = ResponseImage(width=6, height=6, response=vals,
+        resp = ResponseImage(response=vals,
                              best_orientation=np.zeros((6, 6), dtype=int))
         out = normalize_response(resp)
         flat_in = vals.ravel()

@@ -207,11 +207,6 @@ class TestBinarize:
             assert not np.any(cur & ~prev)
             prev = cur
 
-    def test_optional_mask(self):
-        img = GrayImage.from_array(np.ones((1, 2)))
-        mask = BinaryImage.from_array(np.array([[True, False]]))
-        assert binarize(img, 0, mask).data.tolist() == [[True, False]]
-
 
 class TestLengthFilter:
     def test_isolated_pixel_removed(self):
