@@ -27,7 +27,8 @@ from .metrics import auc, evaluate_pair, roc_curve
 from .pnm import read_pnm, write_pnm
 from .preprocess import ClaheParams
 from .segment import PipelineParams, default_min_component_size, run_pipeline
-from .sweep import GridSpec, SweepError, length_search, three_round_search
+from .sweep import (GridSpec, PrepareError, SweepError, length_search,
+                    three_round_search)
 
 
 class DatasetError(RuntimeError):
@@ -486,11 +487,15 @@ def cmd_sweep(args) -> int:
         except Exception as exc:
             raise DatasetError(f"{entry.id}: {exc}") from exc
     base = sized_for(dataset[0][0])
-    if args.l_grid:
-        result = length_search(dataset, grid_l.values(), base)
-    else:
-        result = three_round_search(dataset, grid_x, grid_sigma,
-                                    length=base.kernel.length, base=base)
+    try:
+        if args.l_grid:
+            result = length_search(dataset, grid_l.values(), base)
+        else:
+            result = three_round_search(dataset, grid_x, grid_sigma,
+                                        length=base.kernel.length, base=base)
+    except PrepareError as exc:
+        raise DatasetError(
+            f"{manifest[exc.index].id}: {exc.__cause__}") from exc
 
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,6 +98,22 @@ def gaussian_profile(x, sigma: float):
     return float(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=MAX_ORIENTATIONS)
+def _rotated_grid(grid_cols: int, grid_rows: int, theta_degrees: float):
+    """Rotated cell centers (x, y) of one grid, read-only: a sweep builds
+    the same orientations for every combination."""
+    u = np.arange(grid_cols, dtype=np.float64) - grid_cols // 2
+    v = np.arange(grid_rows, dtype=np.float64) - grid_rows // 2
+    uu, vv = np.meshgrid(u, v)
+
+    t = math.radians(theta_degrees)
+    cos_t, sin_t = math.cos(t), math.sin(t)
+    x = uu * cos_t - vv * sin_t
+    y = uu * sin_t + vv * cos_t
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
+
+
 def kernel_at_angle(params: KernelParams, theta_degrees: float) -> Kernel:
     """Build the weight matrix for one orientation.
 
@@ -105,16 +122,7 @@ def kernel_at_angle(params: KernelParams, theta_degrees: float) -> Kernel:
     transposed rotation matrix for ``theta``.  The inversion, centering and
     normalization steps run over support cells only.
     """
-    half_c = params.grid_cols // 2
-    half_r = params.grid_rows // 2
-    u = np.arange(params.grid_cols, dtype=np.float64) - half_c
-    v = np.arange(params.grid_rows, dtype=np.float64) - half_r
-    uu, vv = np.meshgrid(u, v)
-
-    t = math.radians(theta_degrees)
-    cos_t, sin_t = math.cos(t), math.sin(t)
-    x = uu * cos_t - vv * sin_t
-    y = uu * sin_t + vv * cos_t
+    x, y = _rotated_grid(params.grid_cols, params.grid_rows, theta_degrees)
 
     # The pad absorbs rotation round-off for cells landing exactly on the
     # truncation boundary (e.g. |y| = length/2 at axis-aligned angles), so

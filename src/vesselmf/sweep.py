@@ -8,10 +8,10 @@ segment length gets its own one-dimensional integer scan.
 The searched values (x_limit, sigma, length) change only the kernel bank,
 so each search first runs ``prepare``: per image, the gray conversion,
 CLAHE (``segment.enhance_stages``) and the padded image spectrum, once.
-``evaluate_combo`` then builds the bank and its conjugate kernel spectra
-once per combination and transform shape, and per image runs only
-``response.spectrum_response`` and ``segment.response_stages``.  A
-combination a search visits again (each round's center) is scored once.
+Per combination the search builds the bank; ``evaluate_combo`` scores each
+distinct bank once, taking its conjugate kernel spectra once per transform
+shape and running per image only ``response.spectrum_response`` and
+``segment.response_stages``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,14 @@ MAX_GRID_VALUES = 10_000
 
 class SweepError(RuntimeError):
     pass
+
+
+class PrepareError(SweepError):
+    """An image that ``prepare`` failed on, at ``index`` in the dataset."""
+
+    def __init__(self, index: int, exc: Exception):
+        super().__init__(f"image #{index} failed: {exc}")
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -122,17 +130,19 @@ def prepare(dataset, base: PipelineParams) -> PreparedDataset:
             spectrum = run_stage("max_response", image_spectrum, enhanced,
                                  kernel_shape)
         except Exception as exc:
-            raise SweepError(f"image #{index} failed: {exc}") from exc
+            raise PrepareError(index, exc) from exc
         images.append((spectrum, fov, gt))
     return PreparedDataset(base=base, images=images)
 
 
-def evaluate_combo(prepared: PreparedDataset, params: PipelineParams) -> float:
+def evaluate_combo(prepared: PreparedDataset, params: PipelineParams,
+                   bank=None) -> float:
     """Mean accuracy of the pipeline over the prepared images.
 
     ``params`` may differ from the prepared base only in what comes after
     the image spectrum: the kernel's x_limit, sigma, length and number of
-    orientations, the Otsu scope and the component size.
+    orientations, the Otsu scope and the component size.  ``bank``, when
+    given, is ``build_bank(params.kernel)`` built already.
     """
     prepared_with = _prepared_settings(prepared.base)
     for name, value in _prepared_settings(params).items():
@@ -141,7 +151,8 @@ def evaluate_combo(prepared: PreparedDataset, params: PipelineParams) -> float:
                 f"{name}={value!r} differs from the prepared "
                 f"{name}={prepared_with[name]!r}"
             )
-    bank = build_bank(params.kernel)
+    if bank is None:
+        bank = build_bank(params.kernel)
     spectra = {}        # transform shape -> conjugate kernel spectra
     accuracies = []
     for index, (spectrum, fov, gt) in enumerate(prepared.images):
@@ -174,18 +185,26 @@ def _combo_params(base: PipelineParams, x_limit, sigma, length) -> PipelineParam
 def _scorer(dataset, base: PipelineParams):
     """Mean accuracy by (x_limit, sigma, length), over a dataset prepared
     once, or None where the kernel bank cannot be built (e.g. a flat
-    profile); a combination asked for again is not evaluated again."""
+    profile); a bank whose weights an earlier combination had (a round's
+    center, or an x_limit step that moves no grid cell across the
+    truncation) is not evaluated again, as the score depends only on them."""
     prepared = prepare(dataset, base)
     scores = {}
+    by_weights = {}     # the bank's weight bytes -> score
 
     def score(x, sigma, length) -> float | None:
         key = (float(x), float(sigma), float(length))
         if key not in scores:
+            params = _combo_params(base, *key)
             try:
-                scores[key] = evaluate_combo(prepared,
-                                             _combo_params(base, *key))
+                bank = build_bank(params.kernel)
             except KernelConstructionError:
                 scores[key] = None
+                return None
+            weights = tuple(k.weights.tobytes() for k in bank.kernels)
+            if weights not in by_weights:
+                by_weights[weights] = evaluate_combo(prepared, params, bank)
+            scores[key] = by_weights[weights]
         return scores[key]
 
     return score

@@ -646,6 +646,31 @@ def test_sweep_and_eval_name_the_truncated_entry(tmp_path, capsys):
     assert capsys.readouterr().err == truncated + "failed: a\n"
 
 
+@pytest.mark.parametrize("bad,file,message", [
+    ("01", "01_manual1.pgm",
+     "image and ground truth differ in size: 40x40 vs 40x30"),
+    ("02", "02_manual1.pgm",
+     "image and ground truth differ in size: 40x40 vs 40x30"),
+    ("02", "02_test_mask.pgm",
+     "image and FOV mask differ in size: 40x40 vs 40x30"),
+], ids=["first-gt", "second-gt", "second-fov"])
+def test_sweep_names_the_entry_it_cannot_prepare(tmp_path, capsys, monkeypatch,
+                                                 bad, file, message):
+    for i in ("01", "02"):
+        phantom = generate_phantom(size=40, seed=int(i))
+        _write(tmp_path / f"{i}_test.ppm", phantom.rgb)
+        _write(tmp_path / f"{i}_test_mask.pgm", phantom.fov)
+        _write(tmp_path / f"{i}_manual1.pgm", phantom.vessels)
+    cropped = read_pnm((tmp_path / file).read_bytes())
+    _write(tmp_path / file, type(cropped).from_array(cropped.data[:30]))
+    combos = _count_calls(monkeypatch, vesselmf.sweep, "evaluate_combo")
+    code = main(["sweep", "--dataset-dir", str(tmp_path), "--layout", "drive",
+                 "--report", str(tmp_path / "s.csv"), *PIPE_FLAGS])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}_test: {message}\n"
+    assert combos == []
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     """``python -m vesselmf`` works from a checkout with only PYTHONPATH set."""
     src = str(Path(vesselmf.__file__).resolve().parents[1])

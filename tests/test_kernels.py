@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from vesselmf import (
     gaussian_profile,
     kernel_at_angle,
 )
+from vesselmf.kernels import _rotated_grid
 
 FIXTURE = Path(__file__).parent / "fixtures" / "kernel_golden.json"
 
@@ -164,6 +166,36 @@ class TestBank:
     def test_one_degree_steps_are_the_finest_bank(self):
         assert len(build_bank(KernelParams(sigma=1.0, length=8,
                                            n_orientations=180))) == 180
+
+
+class TestRotatedGridCache:
+    def test_cached_grid_is_read_only(self):
+        for grid in _rotated_grid(15, 17, 30.0):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0, 0] = 0.0
+
+    def test_bank_after_other_grids_equals_a_fresh_build(self):
+        golden = json.loads(FIXTURE.read_text())
+        params = KernelParams(
+            sigma=golden["sigma"], length=golden["length"],
+            x_limit=golden["x_limit"], grid_rows=golden["rows"],
+            grid_cols=golden["cols"],
+        )
+        _rotated_grid.cache_clear()
+        fresh = [kernel_at_angle(params, i * 15.0) for i in range(12)]
+        _rotated_grid.cache_clear()
+        # other sizes, the transposed one included, and other angles first
+        for cols, rows in ((17, 15), (15, 19), (13, 17)):
+            build_bank(replace(params, grid_cols=cols, grid_rows=rows))
+        build_bank(replace(params, n_orientations=8))
+        bank = build_bank(params)
+        for kernel, expected in zip(bank.kernels, fresh, strict=True):
+            assert kernel.theta == expected.theta
+            assert np.array_equal(kernel.weights, expected.weights)
+            assert np.array_equal(kernel.support, expected.support)
+        ref = np.array(golden["weights"])
+        tol = 1e-12 * np.maximum(np.abs(ref), 1e-18)
+        assert np.all(np.abs(bank.kernels[0].weights - ref) <= tol)
 
 
 def test_fixture_matches_fresh_oracle_run():

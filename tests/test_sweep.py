@@ -24,7 +24,7 @@ from vesselmf import (
     run_pipeline,
     three_round_search,
 )
-from vesselmf.sweep import MAX_GRID_VALUES, _combo_params, _window
+from vesselmf.sweep import MAX_GRID_VALUES, _combo_params, _scorer, _window
 
 from test_cli import _count_calls
 
@@ -261,21 +261,59 @@ class TestPreparedSearch:
         result, counts = criterion_9_run
         keys = {e[:3] for e in result.evaluations}
         # each round re-visits the previous round's center: 315 log entries,
-        # 308 distinct (x, sigma, L)
+        # 308 distinct (x, sigma, L); most x_limit steps move no grid cell
+        # across the truncation, so those hold only 97 distinct banks
         assert len(result.evaluations) == 315
         assert len(keys) == 308
         evaluated = [(p.kernel.x_limit, p.kernel.sigma, p.kernel.length)
-                     for _, p in counts["combo"]]
-        assert len(evaluated) == len(set(evaluated)) == len(keys)
-        assert set(evaluated) == keys
+                     for _, p, _ in counts["combo"]]
+        assert len(evaluated) == len(set(evaluated)) == 97
+        assert set(evaluated) <= keys
+        banks = {tuple(k.weights.tobytes() for k in bank.kernels)
+                 for _, _, bank in counts["combo"]}
+        assert len(banks) == 97
 
     def test_invariants_computed_once(self, criterion_9_run):
         result, counts = criterion_9_run
         distinct = len({e[:3] for e in result.evaluations})
         assert len(counts["gray"]) == len(counts["clahe"]) == 4
         assert len(counts["bank"]) == distinct
-        # all four images share one transform shape
-        assert len(counts["kernel_rfft2"]) == 6 * distinct
+        # all four images share one transform shape; one bank's kernels
+        # are transformed once, however many combinations share it
+        assert len(counts["kernel_rfft2"]) == 6 * 97
+
+    def test_every_log_entry_equals_a_fresh_evaluation(self, criterion_9_run):
+        result, _ = criterion_9_run
+        base = _criterion_9_base()
+        prepared = prepare(_criterion_9_set(), base)
+        fresh = {}
+        for x, s, length, acc in result.evaluations:
+            if (x, s, length) not in fresh:
+                fresh[x, s, length] = evaluate_combo(
+                    prepared, _combo_params(base, x, s, length))
+            assert acc == fresh[x, s, length], (x, s, length)
+        assert len(fresh) == 308
+
+    @pytest.mark.parametrize("x_limits,evaluations", [
+        ((5.0, 5.05), 1),       # no grid cell has 5 < |x| <= 5.05
+        ((7.42, 7.43), 2),      # a cell and its mirror, in two kernels
+    ], ids=["same-bank", "one-cell-apart"])
+    def test_x_limits_are_evaluated_once_per_bank(
+            self, monkeypatch, x_limits, evaluations):
+        base = _criterion_9_base()
+        banks = [build_bank(_combo_params(base, x, 1.0, 7).kernel)
+                 for x in x_limits]
+        support_cells = sum(int((a.support != b.support).sum()) for a, b in
+                            zip(banks[0].kernels, banks[1].kernels))
+        assert support_cells == (0 if evaluations == 1 else 4)
+        combos = _count_calls(monkeypatch, vesselmf.sweep, "evaluate_combo")
+        score = _scorer(_criterion_9_set()[:2], base)
+        scores = [score(x, 1.0, 7) for x in x_limits]
+        assert len(combos) == evaluations
+        assert [p.kernel.x_limit for _, p, _ in combos] == \
+            list(x_limits[:evaluations])
+        if evaluations == 1:
+            assert scores[0] == scores[1]
 
     def test_bad_image_fails_once_before_any_combination(self, monkeypatch):
         dataset = _criterion_9_set()[:2]
