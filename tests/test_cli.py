@@ -1,6 +1,7 @@
 """Batch CLI: dataset discovery, subcommands, report determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -268,6 +269,38 @@ class TestSweepCommand:
         assert lines[0] == "x_limit,sigma,L,mean_accuracy"
         assert len(lines) == 4
         assert [line.split(",")[2] for line in lines[1:]] == ["7", "8", "9"]
+
+    @pytest.mark.parametrize("grids,rows,report_sha256,best", [
+        (["--round1-x", "5:9:2", "--round1-sigma", "0.5:3:0.5"], 315,
+         "ce96bdd52a927b9d0dac216ef055ef4e41968f02e234cbe77f41ca9775cfc08c",
+         "best: x_limit=8.93 sigma=1.14 L=7 mean_accuracy=0.993042"),
+        (["--l-grid", "3:11", "--sigma", "1.14", "--x-limit", "8.93"], 9,
+         "e0c2cfed5d34a2a3f7b267df4907e722c914e5493ee66a5bf59f403e6db78a04",
+         "best: x_limit=8.93 sigma=1.14 L=3 mean_accuracy=0.995056"),
+    ], ids=["three-round", "length-scan"])
+    def test_criterion_9_reports_are_pinned(self, tmp_path, capsys, grids,
+                                            rows, report_sha256, best):
+        """The criterion-9 set as a flat PNM manifest: the report bytes and
+        the best line of both searches are locked."""
+        lines = []
+        for s in (1, 2, 3, 4):
+            phantom = generate_phantom(size=64, seed=s, fov_radius=26)
+            for name, image in ((f"p{s}.ppm", phantom.rgb),
+                                (f"p{s}_fov.pgm", phantom.fov),
+                                (f"p{s}_gt.pgm", phantom.vessels)):
+                _write(tmp_path / name, image)
+            lines.append(f"p{s}.ppm,p{s}_fov.pgm,p{s}_gt.pgm")
+        listing = tmp_path / "manifest.csv"
+        listing.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "sweep.csv"
+        code = main(["sweep", "--dataset-dir", str(listing), "--layout", "flat",
+                     "--report", str(report), "--length", "7",
+                     "--orientations", "6", "--min-size", "8", *grids])
+        assert code == 0
+        assert capsys.readouterr().out == best + "\n"
+        data = report.read_bytes()
+        assert len(data.splitlines()) == rows + 1
+        assert hashlib.sha256(data).hexdigest() == report_sha256
 
 
 class TestKernelCommand:
