@@ -27,8 +27,8 @@ from .metrics import auc, evaluate_pair, roc_curve
 from .pnm import read_pnm, write_pnm
 from .preprocess import ClaheParams
 from .segment import PipelineParams, default_min_component_size, run_pipeline
-from .sweep import (GridSpec, PrepareError, SweepError, length_search,
-                    three_round_search)
+from .sweep import (GridSpec, PreparedDataset, SweepError, length_search,
+                    prepare_image, three_round_search)
 
 
 class DatasetError(RuntimeError):
@@ -480,22 +480,20 @@ def cmd_sweep(args) -> int:
     if len(manifest) == 0:
         print("error: sweep needs a non-empty dataset", file=sys.stderr)
         return 2
-    dataset = []
+    prepared = None
     for entry in manifest:
         try:
-            dataset.append(_load_entry(entry, with_gt=True))
+            image, fov, gt = _load_entry(entry, with_gt=True)
+            if prepared is None:
+                prepared = PreparedDataset(base=sized_for(image), images=[])
+            prepared.images.append(
+                prepare_image(image, fov, gt, prepared.base))
         except Exception as exc:
             raise DatasetError(f"{entry.id}: {exc}") from exc
-    base = sized_for(dataset[0][0])
-    try:
-        if args.l_grid:
-            result = length_search(dataset, grid_l.values(), base)
-        else:
-            result = three_round_search(dataset, grid_x, grid_sigma,
-                                        length=base.kernel.length, base=base)
-    except PrepareError as exc:
-        raise DatasetError(
-            f"{manifest[exc.index].id}: {exc.__cause__}") from exc
+    if args.l_grid:
+        result = length_search(prepared, grid_l.values())
+    else:
+        result = three_round_search(prepared, grid_x, grid_sigma)
 
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage
-from .kernels import Kernel, KernelBank
+from .kernels import KernelBank
 
 
 @dataclass
@@ -77,23 +77,6 @@ def kernel_spectra(kernels, shape):
         yield product
 
 
-def convolve(image: GrayImage, kernel: Kernel) -> np.ndarray:
-    """Correlation of the image with one kernel, computed by FFT.
-
-    out(r, c) = sum over grid offsets (dv, du) of
-    weights(dv, du) * img(r + dv, c + du), with out-of-bounds pixels
-    replicated from the nearest edge and weights indexed from the kernel
-    center.  The image is shifted by its top-left pixel first.  The kernels
-    sum to zero, so the shift changes the sum only by round-off, and a
-    constant image becomes exact zeros: its response is exactly constant
-    rather than FFT round-off that normalization would stretch to [0, 1].
-    Raises ``ValueError`` for an image smaller than the kernel.
-    """
-    spectrum = image_spectrum(image, kernel.weights.shape)
-    return spectrum_response(
-        spectrum, kernel_spectra([kernel], spectrum.shape)).response
-
-
 def spectrum_response(spectrum: ImageSpectrum, conj_spectra) -> ResponseImage:
     """Pointwise maximum over the correlations with each kernel.
 
@@ -123,9 +106,17 @@ def spectrum_response(spectrum: ImageSpectrum, conj_spectra) -> ResponseImage:
 def max_response(image: GrayImage, bank: KernelBank) -> ResponseImage:
     """Pointwise maximum over all orientation responses.
 
-    Each orientation's response is the FFT correlation of ``convolve``:
-    the image spectrum is taken once, and each kernel spectrum is computed
-    when its orientation comes up.
+    Each orientation's response is the correlation of the image with its
+    kernel, out(r, c) = sum over grid offsets (dv, du) of
+    weights(dv, du) * img(r + dv, c + du), with out-of-bounds pixels
+    replicated from the nearest edge and weights indexed from the kernel
+    center.  The image is shifted by its top-left pixel first.  The kernels
+    sum to zero, so the shift changes the sum only by round-off, and a
+    constant image becomes exact zeros: its response is exactly constant
+    rather than FFT round-off that normalization would stretch to [0, 1].
+    It runs by FFT: the image spectrum is taken once, and each kernel
+    spectrum is computed when its orientation comes up.  Raises
+    ``ValueError`` for an image smaller than the kernel.
     """
     spectrum = image_spectrum(image, bank.kernels[0].weights.shape)
     return spectrum_response(

@@ -2,15 +2,18 @@
 
 The truncation half-width and profile scale are searched jointly over three
 rounds: a coarse grid, then a window of +/-0.5 at step 0.1 around the best
-point (clamped to the coarse bounds), then +/-0.1 at step 0.01.  The
-segment length gets its own one-dimensional integer scan.
+point, then +/-0.1 at step 0.01; both fine windows are clipped to the
+round-1 bounds, so they never leave the round-1 grid.  The segment length
+gets its own one-dimensional integer scan.
 
 The searched values (x_limit, sigma, length) change only the kernel bank,
-so each search first runs ``prepare``: per image, the gray conversion,
-CLAHE (``segment.enhance_stages``) and the padded image spectrum, once.
-Per combination the search builds the bank; ``evaluate_combo`` scores each
-distinct bank once, taking its conjugate kernel spectra once per transform
-shape and running per image only ``response.spectrum_response`` and
+so the searches take a ``PreparedDataset``: per image, ``prepare_image``
+runs the gray conversion, CLAHE (``segment.enhance_stages``) and the padded
+image spectrum once, and library use is
+``three_round_search(prepare(dataset, base), rx, rs)``.  Per combination
+the search builds the bank; ``evaluate_combo`` scores each distinct bank
+once, taking its conjugate kernel spectra once per transform shape and
+running per image only ``response.spectrum_response`` and
 ``segment.response_stages``.
 """
 
@@ -27,24 +30,12 @@ from .metrics import basic_metrics, confusion
 from .response import image_spectrum, kernel_spectra, spectrum_response
 from .segment import PipelineParams, enhance_stages, response_stages, run_stage
 
-# Lower clamp for both searched axes; keeps sigma and the truncation
-# half-width positive in the fine rounds.
-_MIN_AXIS_VALUE = 0.01
-
 # Most values one grid may hold; the default round-1 grids hold 20.
 MAX_GRID_VALUES = 10_000
 
 
 class SweepError(RuntimeError):
     pass
-
-
-class PrepareError(SweepError):
-    """An image that ``prepare`` failed on, at ``index`` in the dataset."""
-
-    def __init__(self, index: int, exc: Exception):
-        super().__init__(f"image #{index} failed: {exc}")
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -99,7 +90,8 @@ class PreparedDataset:
 
     ``images`` holds one (ImageSpectrum, fov, gt) triple per dataset image,
     in dataset order; ``base`` holds the settings the spectra were built
-    with.
+    with, and the values a search holds fixed: the length of
+    ``three_round_search``, the x_limit and sigma of ``length_search``.
     """
 
     base: PipelineParams
@@ -113,25 +105,30 @@ def _prepared_settings(params: PipelineParams) -> dict:
             "grid_cols": params.kernel.grid_cols}
 
 
+def prepare_image(image, fov, gt, base: PipelineParams):
+    """The (ImageSpectrum, fov, gt) triple of one (image, fov, gt): its gray
+    conversion, CLAHE and image spectrum for kernels of the base's grid."""
+    check_same_size(image, gt, "image and ground truth")
+    enhanced = enhance_stages(image, fov, base, set())
+    spectrum = run_stage("max_response", image_spectrum, enhanced,
+                         (base.kernel.grid_rows, base.kernel.grid_cols))
+    return spectrum, fov, gt
+
+
 def prepare(dataset, base: PipelineParams) -> PreparedDataset:
-    """Gray conversion, CLAHE and image spectrum of each (image, fov, gt).
+    """``prepare_image`` of each (image, fov, gt) in the dataset.
 
     A bad image fails here, once, with its index, before any combination
     is evaluated.
     """
     if not dataset:
         raise SweepError("empty dataset")
-    kernel_shape = (base.kernel.grid_rows, base.kernel.grid_cols)
     images = []
     for index, (image, fov, gt) in enumerate(dataset):
         try:
-            check_same_size(image, gt, "image and ground truth")
-            enhanced = enhance_stages(image, fov, base, set())
-            spectrum = run_stage("max_response", image_spectrum, enhanced,
-                                 kernel_shape)
+            images.append(prepare_image(image, fov, gt, base))
         except Exception as exc:
-            raise PrepareError(index, exc) from exc
-        images.append((spectrum, fov, gt))
+            raise SweepError(f"image #{index} failed: {exc}") from exc
     return PreparedDataset(base=base, images=images)
 
 
@@ -182,30 +179,24 @@ def _combo_params(base: PipelineParams, x_limit, sigma, length) -> PipelineParam
     return replace(base, kernel=kernel)
 
 
-def _scorer(dataset, base: PipelineParams):
-    """Mean accuracy by (x_limit, sigma, length), over a dataset prepared
-    once, or None where the kernel bank cannot be built (e.g. a flat
-    profile); a bank whose weights an earlier combination had (a round's
-    center, or an x_limit step that moves no grid cell across the
-    truncation) is not evaluated again, as the score depends only on them."""
-    prepared = prepare(dataset, base)
-    scores = {}
+def _scorer(prepared: PreparedDataset):
+    """Mean accuracy by (x_limit, sigma, length) at the prepared base, or
+    None where the kernel bank cannot be built (e.g. a flat profile); a bank
+    whose weights an earlier combination had (a round's center, or an
+    x_limit step that moves no grid cell across the truncation) is not
+    evaluated again, as the score depends only on them."""
     by_weights = {}     # the bank's weight bytes -> score
 
     def score(x, sigma, length) -> float | None:
-        key = (float(x), float(sigma), float(length))
-        if key not in scores:
-            params = _combo_params(base, *key)
-            try:
-                bank = build_bank(params.kernel)
-            except KernelConstructionError:
-                scores[key] = None
-                return None
-            weights = tuple(k.weights.tobytes() for k in bank.kernels)
-            if weights not in by_weights:
-                by_weights[weights] = evaluate_combo(prepared, params, bank)
-            scores[key] = by_weights[weights]
-        return scores[key]
+        params = _combo_params(prepared.base, x, sigma, length)
+        try:
+            bank = build_bank(params.kernel)
+        except KernelConstructionError:
+            return None
+        weights = tuple(k.weights.tobytes() for k in bank.kernels)
+        if weights not in by_weights:
+            by_weights[weights] = evaluate_combo(prepared, params, bank)
+        return by_weights[weights]
 
     return score
 
@@ -216,27 +207,22 @@ def _run_grid(score, xs, sigmas, length, log):
 
 
 def _window(center: float, radius: float, step: float,
-            lo_bound: float | None, hi_bound: float | None) -> GridSpec:
-    lo = center - radius
-    hi = center + radius
-    if lo_bound is not None:
-        lo = max(lo, lo_bound)
-    if hi_bound is not None:
-        hi = min(hi, hi_bound)
-    lo = max(lo, _MIN_AXIS_VALUE)
-    return GridSpec(lo=lo, hi=hi, step=step)
+            lo_bound: float, hi_bound: float) -> GridSpec:
+    return GridSpec(max(center - radius, lo_bound),
+                    min(center + radius, hi_bound), step)
 
 
-def three_round_search(dataset, round1_x: GridSpec, round1_sigma: GridSpec,
-                       length: float, base: PipelineParams) -> SweepResult:
-    """Joint (x_limit, sigma) search at fixed length.
+def three_round_search(prepared: PreparedDataset, round1_x: GridSpec,
+                       round1_sigma: GridSpec) -> SweepResult:
+    """Joint (x_limit, sigma) search at the prepared base's length.
 
     Round 2 re-grids +/-0.5 around the round-1 winner at step 0.1 and round
-    3 re-grids +/-0.1 at step 0.01, both clamped to the round-1 bounds so
-    the search never leaves the declared domain.  Ties at every stage break
+    3 re-grids +/-0.1 at step 0.01, both clipped to the round-1 bounds so
+    the search never leaves the round-1 grid.  Ties at every stage break
     to the lexicographically smallest (x, sigma).
     """
-    score = _scorer(dataset, base)
+    score = _scorer(prepared)
+    length = prepared.base.kernel.length
     log: list = []
     round_bests = []
 
@@ -255,18 +241,18 @@ def three_round_search(dataset, round1_x: GridSpec, round1_sigma: GridSpec,
                        round_bests=round_bests)
 
 
-def length_search(dataset, lengths, base: PipelineParams) -> SweepResult:
-    """Scan integer segment lengths at fixed (x_limit, sigma).
+def length_search(prepared: PreparedDataset, lengths) -> SweepResult:
+    """Scan integer segment lengths at the prepared base's (x_limit, sigma).
 
     Ties break to the smallest length.
     """
     lengths = list(lengths)
     if not lengths:
         raise SweepError("empty length grid")
-    score = _scorer(dataset, base)
+    score = _scorer(prepared)
     log: list = []
-    x = base.kernel.x_limit
-    s = base.kernel.sigma
+    x = prepared.base.kernel.x_limit
+    s = prepared.base.kernel.sigma
     for length in lengths:
         log.append((x, s, float(length), score(x, s, length)))
     best = max(_defined(log), key=lambda e: (e[3], -e[2]))

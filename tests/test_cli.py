@@ -704,6 +704,45 @@ def test_sweep_names_the_entry_it_cannot_prepare(tmp_path, capsys, monkeypatch,
     assert combos == []
 
 
+def test_sweep_stops_at_the_first_entry_that_fails(tmp_path, capsys,
+                                                   monkeypatch):
+    """Each entry is loaded and prepared before the next is read: a bad FOV
+    in 01 is named although 02 cannot even be decoded."""
+    for i in ("01", "02"):
+        phantom = generate_phantom(size=40, seed=int(i))
+        _write(tmp_path / f"{i}_test.ppm", phantom.rgb)
+        _write(tmp_path / f"{i}_test_mask.pgm", phantom.fov)
+        _write(tmp_path / f"{i}_manual1.pgm", phantom.vessels)
+    fov = read_pnm((tmp_path / "01_test_mask.pgm").read_bytes())
+    _write(tmp_path / "01_test_mask.pgm", type(fov).from_array(fov.data[:30]))
+    truncated = (tmp_path / "02_test.ppm").read_bytes()[:-10]
+    (tmp_path / "02_test.ppm").write_bytes(truncated)
+    combos = _count_calls(monkeypatch, vesselmf.sweep, "evaluate_combo")
+    code = main(["sweep", "--dataset-dir", str(tmp_path), "--layout", "drive",
+                 "--report", str(tmp_path / "s.csv"), *PIPE_FLAGS])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 01_test: image and FOV mask differ in size: 40x40 vs 40x30\n")
+    assert combos == []
+
+
+def test_sweep_fine_rounds_stay_inside_the_round_1_grid(tmp_path, capsys):
+    """A sigma grid below 0.01 is searched as given: the fine windows are
+    clipped to the round-1 bounds and to nothing else."""
+    _make_drive_tree(tmp_path / "data", n=2)
+    report = tmp_path / "s.csv"
+    code = main(["sweep", "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", "--report", str(report),
+                 "--round1-x", "5:7:2", "--round1-sigma", "0.001:0.005:0.002",
+                 *PIPE_FLAGS])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("best: x_limit=")
+    rows = [line.split(",") for line in report.read_text().splitlines()[1:]]
+    assert len(rows) > 6
+    assert all(0.001 <= float(row[1]) <= 0.005 for row in rows)
+    assert all(5 <= float(row[0]) <= 7 for row in rows)
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     """``python -m vesselmf`` works from a checkout with only PYTHONPATH set."""
     src = str(Path(vesselmf.__file__).resolve().parents[1])

@@ -20,9 +20,10 @@ from vesselmf import (
     KernelConstructionError,
     KernelParams,
     build_bank,
-    convolve,
     max_response,
 )
+
+from test_response import correlate
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -79,7 +80,7 @@ def _margin(data, bank):
     if len(bank) == 1:
         return np.full(data.shape, np.inf)
     image = GrayImage.from_array(data)
-    stack = np.sort([convolve(image, k) for k in bank.kernels], axis=0)
+    stack = np.sort([correlate(image, k) for k in bank.kernels], axis=0)
     return stack[-1] - stack[-2]
 
 

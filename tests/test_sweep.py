@@ -124,13 +124,9 @@ class TestEvaluateCombo:
 
 class TestThreeRoundSearch:
     def test_degenerate_single_point_grids(self, small_dataset, base_params):
-        res = three_round_search(
-            small_dataset,
-            GridSpec(7.0, 7.0, 1.0),
-            GridSpec(1.2, 1.2, 1.0),
-            length=7,
-            base=base_params,
-        )
+        res = three_round_search(prepare(small_dataset, base_params),
+                                 GridSpec(7.0, 7.0, 1.0),
+                                 GridSpec(1.2, 1.2, 1.0))
         # every round's window clamps to the single-point bounds
         assert len(res.evaluations) == 3
         assert res.best[:2] == (7.0, 1.2)
@@ -139,20 +135,15 @@ class TestThreeRoundSearch:
     def test_no_buildable_bank_is_an_error(self, small_dataset, base_params):
         # x_limit 0.5 leaves one support column: a flat profile
         with pytest.raises(SweepError) as err:
-            three_round_search(small_dataset, GridSpec(0.5, 0.5, 1.0),
-                               GridSpec(1.0, 2.0, 1.0), length=7,
-                               base=base_params)
+            three_round_search(prepare(small_dataset, base_params),
+                               GridSpec(0.5, 0.5, 1.0), GridSpec(1.0, 2.0, 1.0))
         assert str(err.value) == ("none of 2 combinations has a kernel bank "
                                   "that can be built")
 
     def test_rounds_never_regress(self, small_dataset, base_params):
-        res = three_round_search(
-            small_dataset,
-            GridSpec(5.0, 9.0, 2.0),
-            GridSpec(0.5, 2.5, 1.0),
-            length=7,
-            base=base_params,
-        )
+        res = three_round_search(prepare(small_dataset, base_params),
+                                 GridSpec(5.0, 9.0, 2.0),
+                                 GridSpec(0.5, 2.5, 1.0))
         accs = [rb[3] for rb in res.round_bests]
         assert accs[1] >= accs[0]
         assert accs[2] >= accs[1]
@@ -162,8 +153,7 @@ class TestThreeRoundSearch:
                                                 base_params):
         rx = GridSpec(5.0, 9.0, 2.0)
         rs = GridSpec(0.5, 2.5, 1.0)
-        res = three_round_search(small_dataset, rx, rs, length=7,
-                                 base=base_params)
+        res = three_round_search(prepare(small_dataset, base_params), rx, rs)
         n1 = len(rx.values()) * len(rs.values())
         bx, bs = res.round_bests[0][:2]
         n2 = (len(_window(bx, 0.5, 0.1, rx.lo, rx.hi).values())
@@ -175,21 +165,20 @@ class TestThreeRoundSearch:
 
     def test_order_invariant(self, small_dataset, base_params):
         grids = (GridSpec(7.0, 9.0, 2.0), GridSpec(0.8, 1.8, 0.5))
-        a = three_round_search(small_dataset, *grids, length=7,
-                               base=base_params)
-        b = three_round_search(list(reversed(small_dataset)), *grids,
-                               length=7, base=base_params)
+        a = three_round_search(prepare(small_dataset, base_params), *grids)
+        b = three_round_search(
+            prepare(list(reversed(small_dataset)), base_params), *grids)
         assert a.best == b.best
 
 
 class TestLengthSearch:
     def test_single_length(self, small_dataset, base_params):
-        res = length_search(small_dataset, [5], base_params)
+        res = length_search(prepare(small_dataset, base_params), [5])
         assert res.best[2] == 5.0
         assert len(res.evaluations) == 1
 
     def test_longer_beats_unit_length(self, small_dataset, base_params):
-        res = length_search(small_dataset, [1, 9], base_params)
+        res = length_search(prepare(small_dataset, base_params), [1, 9])
         by_length = {e[2]: e[3] for e in res.evaluations}
         assert by_length[9.0] >= by_length[1.0]
 
@@ -199,15 +188,15 @@ class TestLengthSearch:
         phantom = generate_phantom(size=48, strokes=[], noise_sigma=0.0,
                                    fov_radius=19)
         gt = phantom.vessels
-        res = length_search([(phantom.rgb, phantom.fov, gt)], [3, 5, 7],
-                            base_params)
+        res = length_search(
+            prepare([(phantom.rgb, phantom.fov, gt)], base_params), [3, 5, 7])
         accs = {e[3] for e in res.evaluations}
         assert len(accs) == 1
         assert res.best[2] == 3.0
 
     def test_empty_grid_rejected(self, small_dataset, base_params):
         with pytest.raises(SweepError):
-            length_search(small_dataset, [], base_params)
+            length_search(prepare(small_dataset, base_params), [])
 
 
 def _criterion_9_set():
@@ -250,9 +239,9 @@ def criterion_9_run():
             "kernel_rfft2": _count_kernel_transforms(
                 mp, (base.kernel.grid_rows, base.kernel.grid_cols)),
         }
-        result = three_round_search(
-            _criterion_9_set(), GridSpec(5.0, 9.0, 2.0),
-            GridSpec(0.5, 3.0, 0.5), length=7, base=base)
+        result = three_round_search(prepare(_criterion_9_set(), base),
+                                    GridSpec(5.0, 9.0, 2.0),
+                                    GridSpec(0.5, 3.0, 0.5))
     return result, counts
 
 
@@ -275,9 +264,9 @@ class TestPreparedSearch:
 
     def test_invariants_computed_once(self, criterion_9_run):
         result, counts = criterion_9_run
-        distinct = len({e[:3] for e in result.evaluations})
         assert len(counts["gray"]) == len(counts["clahe"]) == 4
-        assert len(counts["bank"]) == distinct
+        # one bank per log entry: it is built to key the score by weights
+        assert len(counts["bank"]) == len(result.evaluations) == 315
         # all four images share one transform shape; one bank's kernels
         # are transformed once, however many combinations share it
         assert len(counts["kernel_rfft2"]) == 6 * 97
@@ -307,7 +296,7 @@ class TestPreparedSearch:
                             zip(banks[0].kernels, banks[1].kernels))
         assert support_cells == (0 if evaluations == 1 else 4)
         combos = _count_calls(monkeypatch, vesselmf.sweep, "evaluate_combo")
-        score = _scorer(_criterion_9_set()[:2], base)
+        score = _scorer(prepare(_criterion_9_set()[:2], base))
         scores = [score(x, 1.0, 7) for x in x_limits]
         assert len(combos) == evaluations
         assert [p.kernel.x_limit for _, p, _ in combos] == \
@@ -321,9 +310,8 @@ class TestPreparedSearch:
         dataset.insert(1, (p.rgb, p.fov, p.vessels))
         combos = _count_calls(monkeypatch, vesselmf.sweep, "evaluate_combo")
         with pytest.raises(SweepError) as err:
-            three_round_search(dataset, GridSpec(5.0, 9.0, 2.0),
-                               GridSpec(0.5, 3.0, 0.5), length=7,
-                               base=_criterion_9_base())
+            three_round_search(prepare(dataset, _criterion_9_base()),
+                               GridSpec(5.0, 9.0, 2.0), GridSpec(0.5, 3.0, 0.5))
         assert str(err.value) == ("image #1 failed: stage 'clahe': image 6x6 "
                                   "smaller than tile grid 8x8")
         assert combos == []
