@@ -105,9 +105,6 @@ class BinaryImage(_Raster):
 
     _dtype = bool
 
-    def count(self) -> int:
-        return int(np.count_nonzero(self.data))
-
 
 def quantize_levels(values: np.ndarray) -> np.ndarray:
     """Map unit-interval values onto the 256 gray levels, rounding half up."""

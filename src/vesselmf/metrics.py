@@ -105,20 +105,17 @@ def rmsd(seg: BinaryImage, gt: BinaryImage,
     return float(np.sqrt(np.mean(diff ** 2)))
 
 
-def mad(image, *, root: bool = True,
-        scope: BinaryImage | None = None) -> float | None:
+def mad(image, *, scope: BinaryImage | None = None) -> float | None:
     """Square root of the mean absolute deviation from the image mean, over
     scope-true pixels (all pixels when absent); None for an empty scope.
 
-    ``root=False`` gives the conventional mean-absolute-deviation for
-    cross-checks.  The comparison statistic between two maps is the absolute
-    difference of their values.
+    The comparison statistic between two maps is the absolute difference
+    of their values.
     """
     data = np.asarray(_in_scope(image, scope), dtype=np.float64)
     if data.size == 0:
         return None
-    dispersion = float(np.mean(np.abs(data - data.mean())))
-    return float(np.sqrt(dispersion)) if root else dispersion
+    return float(np.sqrt(np.mean(np.abs(data - data.mean()))))
 
 
 def roc_curve(response: GrayImage, gt: BinaryImage,

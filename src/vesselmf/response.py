@@ -15,14 +15,6 @@ from .image import GrayImage
 from .kernels import KernelBank
 
 
-@dataclass
-class ResponseImage:
-    """Per-pixel maximum filter response and the orientation that won it."""
-
-    response: np.ndarray            # (height, width) float64, unbounded
-    best_orientation: np.ndarray    # (height, width) orientation indices
-
-
 def _smooth_size(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c that is at least ``n``: a fast FFT length."""
     while True:
@@ -69,42 +61,37 @@ def image_spectrum(image: GrayImage, kernel_shape) -> ImageSpectrum:
 
 
 def kernel_spectra(kernels, shape):
-    """Yield the conjugate spectrum of each kernel at transform ``shape``,
-    each a new array."""
+    """Yield the conjugate spectrum of each kernel at transform ``shape``."""
     for kernel in kernels:
         product = np.fft.rfft2(kernel.weights, s=shape)
         np.conjugate(product, out=product)
         yield product
 
 
-def spectrum_response(spectrum: ImageSpectrum, conj_spectra) -> ResponseImage:
+def spectrum_response(spectrum: ImageSpectrum, conj_spectra) -> np.ndarray:
     """Pointwise maximum over the correlations with each kernel.
 
     ``conj_spectra`` are the conjugate kernel spectra at ``spectrum.shape``
-    in orientation order.  Each is multiplied by the image spectrum in
-    place, so they are overwritten: keep that order, ``conj(K) *=
-    spectrum``, since ``spectrum * conj(K)`` differs in the last bit.  A
-    running maximum and argmax are kept, so no orientation stack is built.
-    Ties go to the lowest orientation index (a later orientation must be
-    strictly greater), which keeps the winner map deterministic.
+    in orientation order; they are read, not written, so one list serves
+    any number of images.  Returns the (height, width) float64 response.
     """
-    for index, product in enumerate(conj_spectra):
-        product *= spectrum.data
+    product = np.empty_like(spectrum.data)
+    for index, conj_k in enumerate(conj_spectra):
+        # conj(K) * spectrum, in that operand order: the reverse order
+        # differs in the last bit, which would move the response.
+        np.multiply(conj_k, spectrum.data, out=product)
         response = np.fft.irfft2(product, s=spectrum.shape)[:spectrum.height,
                                                              :spectrum.width]
         if index == 0:
             best = response.copy()
-            winner = np.zeros(best.shape, dtype=np.intp)
-            better = np.empty(best.shape, dtype=bool)
         else:
-            np.greater(response, best, out=better)
             np.maximum(best, response, out=best)
-            np.copyto(winner, index, where=better)
-    return ResponseImage(response=best, best_orientation=winner)
+    return best
 
 
-def max_response(image: GrayImage, bank: KernelBank) -> ResponseImage:
-    """Pointwise maximum over all orientation responses.
+def max_response(image: GrayImage, bank: KernelBank) -> np.ndarray:
+    """Pointwise maximum over all orientation responses, a (height, width)
+    float64 array.
 
     Each orientation's response is the correlation of the image with its
     kernel, out(r, c) = sum over grid offsets (dv, du) of
@@ -123,16 +110,14 @@ def max_response(image: GrayImage, bank: KernelBank) -> ResponseImage:
         spectrum, kernel_spectra(bank.kernels, spectrum.shape))
 
 
-def normalize_response(resp: ResponseImage) -> GrayImage:
-    """Min-max map of the response to [0, 1].
+def normalize_response(response: np.ndarray) -> GrayImage:
+    """Min-max map of the raw response to [0, 1].
 
     A constant response carries no contrast to stretch; it maps to all
     zeros with the degenerate flag set.
     """
-    lo = resp.response.min()
-    hi = resp.response.max()
+    lo = response.min()
+    hi = response.max()
     if hi - lo <= 0.0:
-        return GrayImage.from_array(
-            np.zeros_like(resp.response), degenerate=True
-        )
-    return GrayImage.from_array((resp.response - lo) / (hi - lo))
+        return GrayImage.from_array(np.zeros_like(response), degenerate=True)
+    return GrayImage.from_array((response - lo) / (hi - lo))

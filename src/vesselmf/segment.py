@@ -19,7 +19,7 @@ import numpy as np
 from .image import BinaryImage, GrayImage, RgbImage, check_same_size
 from .kernels import KernelBank, KernelParams
 from .preprocess import ClaheParams, clahe, luma_grayscale, pca_grayscale
-from .response import ResponseImage, max_response, normalize_response
+from .response import max_response, normalize_response
 
 # DRIVE frame size; the small-component cutoff scales with image area
 # relative to it.
@@ -28,10 +28,9 @@ _REFERENCE_AREA = 565 * 584
 
 @dataclass
 class Histogram:
-    """256-level gray histogram: raw counts and their total."""
+    """256-level gray histogram of raw counts."""
 
     counts: np.ndarray
-    total: int
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -39,9 +38,14 @@ class Histogram:
             raise ValueError(f"expected 256 bins, got shape {counts.shape}")
         if counts.min() < 0:
             raise ValueError("negative bin count")
-        if int(counts.sum()) != self.total or self.total < 1:
-            raise ValueError("total does not match bin counts")
+        if not counts.any():
+            raise ValueError("empty histogram")
         self.counts = counts
+
+    @property
+    def total(self) -> int:
+        """Number of pixels counted."""
+        return int(self.counts.sum())
 
 
 @dataclass
@@ -89,7 +93,7 @@ class PipelineParams:
 @dataclass
 class SegmentationResult:
     vessel_map: BinaryImage          # vessel = True, False outside the FOV
-    mfr: ResponseImage               # raw response and winning orientation
+    mfr: np.ndarray                  # raw response, (height, width) float64
     mfr_image: GrayImage             # mfr normalized to [0, 1]; Otsu's input
     diagnostics: ThresholdDiagnostics
     degenerate_flags: set = field(default_factory=set)
@@ -118,7 +122,7 @@ def build_histogram(image: GrayImage, mask: BinaryImage | None = None) -> Histog
         if levels.size == 0:
             raise ValueError("empty masked region: no pixels to count")
     counts = np.bincount(levels.ravel(), minlength=256)
-    return Histogram(counts=counts, total=int(counts.sum()))
+    return Histogram(counts=counts)
 
 
 def otsu_curves(h: Histogram):
@@ -299,7 +303,7 @@ def enhance_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
     return enhanced
 
 
-def response_stages(resp: ResponseImage, fov: BinaryImage,
+def response_stages(resp: np.ndarray, fov: BinaryImage,
                     params: PipelineParams, flags: set,
                     on_stage=_skip) -> SegmentationResult:
     """The stages after the filter, 03_mfr to 07_complement: returns the

@@ -157,9 +157,8 @@ def evaluate_combo(prepared: PreparedDataset, params: PipelineParams,
             if spectrum.shape not in spectra:
                 spectra[spectrum.shape] = list(
                     kernel_spectra(bank.kernels, spectrum.shape))
-            products = (k.copy() for k in spectra[spectrum.shape])
             resp = run_stage("max_response", spectrum_response, spectrum,
-                             products)
+                             spectra[spectrum.shape])
             result = response_stages(resp, fov, params, set())
             _, _, acc = basic_metrics(confusion(result.vessel_map, gt))
             if acc is None:

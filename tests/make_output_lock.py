@@ -75,7 +75,7 @@ def run_case(case_id: str) -> dict:
     return {
         "vessel_map": _sha256(result.vessel_map.data),
         "levels": _sha256(result.mfr_image.levels),
-        "response": _sha256(result.mfr.response.astype("<f8")),
+        "response": _sha256(result.mfr.astype("<f8")),
         "k_star": result.diagnostics.k_star,
         "flags": sorted(result.degenerate_flags),
     }

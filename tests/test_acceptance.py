@@ -63,7 +63,7 @@ def test_criterion_1_otsu_oracle_equivalence():
     hists[hists.sum(axis=1) == 0, 0] = 1
 
     ours = np.array([
-        otsu_threshold(Histogram(counts=h, total=int(h.sum()))).k_star
+        otsu_threshold(Histogram(counts=h)).k_star
         for h in hists
     ])
 

@@ -12,7 +12,6 @@ from vesselmf import (
     GrayImage,
     KernelParams,
     PipelineParams,
-    ResponseImage,
     RgbImage,
     apply_mask,
     build_bank,
@@ -34,8 +33,7 @@ def test_size_comes_from_the_array(cls, shape):
     assert (image.width, image.height) == (5, 3)
 
 
-@pytest.mark.parametrize("cls", [RgbImage, GrayImage, BinaryImage,
-                                 ResponseImage])
+@pytest.mark.parametrize("cls", [RgbImage, GrayImage, BinaryImage])
 def test_no_size_fields(cls):
     assert not {"width", "height"} & {f.name for f in fields(cls)}
 

@@ -114,12 +114,6 @@ class TestRmsdMad:
             assert mad(img) == pytest.approx(np.sqrt(2 * q * (1 - q)),
                                              abs=1e-12)
 
-    def test_mad_no_root_variant(self):
-        data = np.zeros((4, 4), dtype=bool)
-        data[0] = True
-        img = _binary(data)
-        assert mad(img, root=False) == pytest.approx(mad(img) ** 2, abs=1e-12)
-
     def test_mad_diff_identical_images(self):
         rng = np.random.default_rng(4)
         img = _binary(rng.random((8, 8)) < 0.3)

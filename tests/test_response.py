@@ -12,13 +12,13 @@ from vesselmf import (
     normalize_response,
 )
 from vesselmf.kernels import KernelBank
-from vesselmf.response import ResponseImage
+from vesselmf.response import image_spectrum, kernel_spectra, spectrum_response
 
 
 def correlate(image: GrayImage, kernel) -> np.ndarray:
     """One kernel's correlation: ``max_response`` over a one-kernel bank,
     which reads only the bank's kernels."""
-    return max_response(image, KernelBank(None, (kernel,))).response
+    return max_response(image, KernelBank(None, (kernel,)))
 
 
 def naive_convolve(image: GrayImage, kernel) -> np.ndarray:
@@ -120,8 +120,7 @@ class TestFftPath:
         for kernel, want in zip(bank.kernels, expected):
             assert np.abs(correlate(img, kernel) - want).max() <= 1e-9
         resp = max_response(img, bank)
-        assert np.abs(resp.response - expected.max(axis=0)).max() <= 1e-9
-        assert np.array_equal(resp.best_orientation, expected.argmax(axis=0))
+        assert np.abs(resp - expected.max(axis=0)).max() <= 1e-9
 
     def test_one_row_short_of_kernel_rejected(self):
         bank = build_bank(KernelParams(sigma=1.5, length=9))
@@ -135,15 +134,25 @@ class TestFftPath:
                                                       height, width):
         img = GrayImage.from_array(np.full((height, width), value))
         resp = max_response(img, bank)
-        assert np.ptp(resp.response) == 0
+        assert np.ptp(resp) == 0
         assert normalize_response(resp).degenerate
 
-    def test_duplicated_kernels_tie_to_first(self, bank):
+    def test_duplicated_kernels_give_the_one_kernel_response(self, bank):
         dup = KernelBank(params=bank.params, kernels=(bank.kernels[4],) * 3)
         img = GrayImage.from_array(np.random.default_rng(7).random((40, 33)))
         resp = max_response(img, dup)
-        assert np.all(resp.best_orientation == 0)
-        assert np.array_equal(resp.response, correlate(img, bank.kernels[4]))
+        assert np.array_equal(resp, correlate(img, bank.kernels[4]))
+
+    def test_kernel_spectra_are_read_not_written(self, bank):
+        img = GrayImage.from_array(np.random.default_rng(8).random((40, 33)))
+        spectrum = image_spectrum(img, bank.kernels[0].weights.shape)
+        conj_spectra = list(kernel_spectra(bank.kernels, spectrum.shape))
+        before = [k.copy() for k in conj_spectra]
+        first = spectrum_response(spectrum, conj_spectra)
+        second = spectrum_response(spectrum, conj_spectra)
+        assert first.tobytes() == second.tobytes()
+        assert all(k.tobytes() == b.tobytes()
+                   for k, b in zip(conj_spectra, before))
 
 
 def _stripe_image(size=48, col=24, depth=0.5, sigma=1.2, background=0.9):
@@ -159,28 +168,20 @@ class TestMaxResponse:
         rng = np.random.default_rng(2)
         img = GrayImage.from_array(rng.random((20, 20)))
         resp = max_response(img, bank1)
-        assert np.array_equal(resp.response, correlate(img, bank1.kernels[0]))
-        assert np.all(resp.best_orientation == 0)
+        assert np.array_equal(resp, correlate(img, bank1.kernels[0]))
 
     def test_vertical_stripe_picks_vertical_kernel(self, bank):
         img = _stripe_image()
-        resp = max_response(img, bank)
-        # oracle: evaluate every orientation response at the stripe center
-        # pixels and take the argmax directly
         per_kernel = np.stack([correlate(img, k) for k in bank.kernels])
-        centers = [(r, 24) for r in range(16, 32)]
-        for r, c in centers:
-            expected = int(np.argmax(per_kernel[:, r, c]))
-            assert resp.best_orientation[r, c] == expected
         # the winning kernel's length axis is vertical: orientation 0
-        assert all(resp.best_orientation[r, c] == 0 for r, c in centers)
+        assert np.all(np.argmax(per_kernel[:, 16:32, 24], axis=0) == 0)
 
     def test_max_dominates_each_orientation(self, bank):
         rng = np.random.default_rng(3)
         img = GrayImage.from_array(rng.random((24, 24)))
         resp = max_response(img, bank)
         for kernel in bank.kernels:
-            assert np.all(resp.response >= correlate(img, kernel) - 1e-12)
+            assert np.all(resp >= correlate(img, kernel) - 1e-12)
 
     def test_mirror_flips_winning_orientation(self, bank):
         # a diagonal stripe flipped left-right maps theta to 180 - theta
@@ -193,42 +194,29 @@ class TestMaxResponse:
         flipped = GrayImage.from_array(img.data[:, ::-1])
         n = len(bank.kernels)
         center = size // 2
-        base = max_response(img, bank)
-        mirror = max_response(flipped, bank)
+        base = np.stack([correlate(img, k) for k in bank.kernels])
+        mirror = np.stack([correlate(flipped, k) for k in bank.kernels])
         for r in range(center - 4, center + 5):
-            i = int(base.best_orientation[r, r])
-            j = int(mirror.best_orientation[r, size - 1 - r])
+            i = int(np.argmax(base[:, r, r]))
+            j = int(np.argmax(mirror[:, r, size - 1 - r]))
             assert (i + j) % n == 0
-
-    def test_best_orientation_within_bank(self, bank):
-        rng = np.random.default_rng(4)
-        img = GrayImage.from_array(rng.random((20, 20)))
-        resp = max_response(img, bank)
-        assert resp.best_orientation.min() >= 0
-        assert resp.best_orientation.max() < len(bank.kernels)
 
 
 class TestNormalizeResponse:
     def test_affine_map(self):
-        resp = ResponseImage(response=np.array([[-2.0, 0.0, 2.0]]),
-                             best_orientation=np.zeros((1, 3), dtype=int))
-        out = normalize_response(resp)
+        out = normalize_response(np.array([[-2.0, 0.0, 2.0]]))
         assert np.allclose(out.data, [[0.0, 0.5, 1.0]])
         assert not out.degenerate
 
     def test_constant_response_degenerate(self):
-        resp = ResponseImage(response=np.full((2, 2), 3.7),
-                             best_orientation=np.zeros((2, 2), dtype=int))
-        out = normalize_response(resp)
+        out = normalize_response(np.full((2, 2), 3.7))
         assert out.degenerate
         assert np.all(out.data == 0.0)
 
     def test_monotone(self):
         rng = np.random.default_rng(5)
         vals = rng.normal(size=(6, 6))
-        resp = ResponseImage(response=vals,
-                             best_orientation=np.zeros((6, 6), dtype=int))
-        out = normalize_response(resp)
+        out = normalize_response(vals)
         flat_in = vals.ravel()
         flat_out = out.data.ravel()
         order = np.argsort(flat_in)
