@@ -81,12 +81,16 @@ def run_case(case_id: str) -> dict:
     }
 
 
-def dump_digests(work_dir: Path) -> dict:
+def dump_digests(work_dir: Path, encoding: str = "binary") -> dict:
     """Digest of each file that one ``segment --dump-mfr --dump-stages``
-    run writes on a 64x64 phantom, by path relative to its ``--out``."""
+    run writes on a 64x64 phantom, by path relative to its ``--out``.
+
+    ``encoding`` is the ``write_pnm`` format of the phantom and its mask;
+    both encodings decode to the same images, so the digests are the same.
+    """
     phantom = generate_phantom(DUMP_SIZE, seed=SEED)
-    (work_dir / "p.ppm").write_bytes(write_pnm(phantom.rgb))
-    (work_dir / "p_mask.pgm").write_bytes(write_pnm(phantom.fov))
+    (work_dir / "p.ppm").write_bytes(write_pnm(phantom.rgb, encoding))
+    (work_dir / "p_mask.pgm").write_bytes(write_pnm(phantom.fov, encoding))
     (work_dir / "manifest.csv").write_text("p.ppm,p_mask.pgm\n")
     out = work_dir / "out"
     code = cli.main(["segment", "--dataset-dir",

@@ -3,8 +3,9 @@
 ``tests/make_output_lock.py`` defines the suite and writes the fixture.  A
 change that means to move outputs regenerates the fixture and says which
 cases moved.  The vessel map, the 256 levels, ``k_star``, the flags and the
-dumped files are exact on every numpy; the raw float64 response is checked
-only on the numpy ``major.minor`` the lock was made with.
+dumped files (from binary and from ASCII input) are exact on every numpy;
+the raw float64 response is checked only on the numpy ``major.minor`` the
+lock was made with.
 """
 
 import json
@@ -34,5 +35,7 @@ def test_outputs_match_the_lock(case_id):
             f"{case_id} raw response; {VERSIONS}")
 
 
-def test_segment_dumps_match_the_lock(tmp_path):
-    assert lock.dump_digests(tmp_path) == LOCKED["segment_dump"], VERSIONS
+@pytest.mark.parametrize("encoding", ["binary", "ascii"])
+def test_segment_dumps_match_the_lock(tmp_path, encoding):
+    assert (lock.dump_digests(tmp_path, encoding)
+            == LOCKED["segment_dump"]), VERSIONS
