@@ -443,39 +443,36 @@ def cmd_roc(args) -> int:
     return code
 
 
-def _parse_grid(spec: str, form: str = "lo:hi:step", kind=float) -> list:
-    """The ``kind`` values of a colon-separated grid ``spec`` of ``form``."""
-    parts = spec.split(":")
+def _grid(spec: str, flag: str, kernel: KernelParams, name: str,
+          kind=float) -> GridSpec:
+    """The grid ``flag`` gives as ``spec``: lo:hi:step, or lo:hi at step 1
+    for an int ``kind``.  The kernel with ``name`` at the grid's lo and at
+    its hi must be valid.  Every error names ``flag``."""
+    form = "lo:hi" if kind is int else "lo:hi:step"
     try:
-        if len(parts) != form.count(":") + 1:
-            raise ValueError
-        values = [kind(part) for part in parts]
+        values = [kind(part) for part in spec.split(":")]
     except ValueError:
-        raise ValueError(f"grid {spec!r} must be {form}") from None
-    return values
-
-
-def _check_grid_ends(kernel: KernelParams, flag: str, name: str,
-                     grid: GridSpec):
-    """The kernel with ``name`` at the grid's lo and at its hi must be valid;
-    the error names ``flag``."""
-    for value in (grid.lo, grid.hi):
-        try:
+        values = []
+    try:
+        if len(values) != form.count(":") + 1:
+            raise ValueError(f"grid {spec!r} must be {form}")
+        grid = GridSpec(*values, step=1) if kind is int else GridSpec(*values)
+        for value in (grid.lo, grid.hi):
             replace(kernel, **{name: value})
-        except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+    return grid
 
 
 def cmd_sweep(args) -> int:
     params, sized_for = _resolve_sized(args)
+    kernel = params.kernel
     if args.l_grid:
-        grid_l = GridSpec(*_parse_grid(args.l_grid, "lo:hi", int), step=1)
-        _check_grid_ends(params.kernel, "--l-grid", "length", grid_l)
+        grid_l = _grid(args.l_grid, "--l-grid", kernel, "length", int)
     else:
-        grid_x = GridSpec(*_parse_grid(args.round1_x))
-        grid_sigma = GridSpec(*_parse_grid(args.round1_sigma))
-        _check_grid_ends(params.kernel, "--round1-x", "x_limit", grid_x)
-        _check_grid_ends(params.kernel, "--round1-sigma", "sigma", grid_sigma)
+        grid_x = _grid(args.round1_x, "--round1-x", kernel, "x_limit")
+        grid_sigma = _grid(args.round1_sigma, "--round1-sigma", kernel,
+                           "sigma")
     manifest = discover_dataset(args.dataset_dir, args.layout)
     if len(manifest) == 0:
         print("error: sweep needs a non-empty dataset", file=sys.stderr)

@@ -86,7 +86,8 @@ class GrayImage(_Raster):
         super().__post_init__()
         arr = self.data
         lo, hi = arr.min(), arr.max()
-        if lo < -_RANGE_SLACK or hi > 1.0 + _RANGE_SLACK:
+        # written so that NaN, which fails every comparison, is rejected
+        if not (lo >= -_RANGE_SLACK and hi <= 1.0 + _RANGE_SLACK):
             raise ValueError(f"gray values outside [0, 1]: min={lo}, max={hi}")
         if lo < 0.0 or hi > 1.0:
             self.data = np.clip(arr, 0.0, 1.0)

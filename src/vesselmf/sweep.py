@@ -11,9 +11,10 @@ so the searches take a ``PreparedDataset``: per image, ``prepare_image``
 runs the gray conversion, CLAHE (``segment.enhance_stages``) and the padded
 image spectrum once, and library use is
 ``three_round_search(prepare(dataset, base), rx, rs)``.  Per combination
-the search builds the bank; ``evaluate_combo`` scores each distinct bank
-once, taking its conjugate kernel spectra once per transform shape and
-running per image only ``response.spectrum_response`` and
+the search builds the bank from the base's kernel with the searched values;
+``evaluate_combo(prepared, bank)`` scores each distinct bank once under the
+base's settings, taking its conjugate kernel spectra once per transform
+shape and running per image only ``response.spectrum_response`` and
 ``segment.response_stages``.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .image import check_same_size
-from .kernels import KernelConstructionError, build_bank
+from .kernels import KernelBank, KernelConstructionError, build_bank
 from .metrics import basic_metrics, confusion
 from .response import image_spectrum, kernel_spectra, spectrum_response
 from .segment import PipelineParams, enhance_stages, response_stages, run_stage
@@ -89,20 +90,15 @@ class PreparedDataset:
     """What no searched parameter changes, computed once per search.
 
     ``images`` holds one (ImageSpectrum, fov, gt) triple per dataset image,
-    in dataset order; ``base`` holds the settings the spectra were built
-    with, and the values a search holds fixed: the length of
-    ``three_round_search``, the x_limit and sigma of ``length_search``.
+    in dataset order.  ``base`` holds the settings the spectra were built
+    with (gray mode, CLAHE, kernel grid), the settings every bank is scored
+    under (Otsu scope, component size), and the values a search holds
+    fixed: the length of ``three_round_search``, the x_limit and sigma of
+    ``length_search``.
     """
 
     base: PipelineParams
     images: list
-
-
-def _prepared_settings(params: PipelineParams) -> dict:
-    """The settings an image spectrum depends on."""
-    return {"gray_mode": params.gray_mode, "clahe": params.clahe,
-            "grid_rows": params.kernel.grid_rows,
-            "grid_cols": params.kernel.grid_cols}
 
 
 def prepare_image(image, fov, gt, base: PipelineParams):
@@ -132,24 +128,15 @@ def prepare(dataset, base: PipelineParams) -> PreparedDataset:
     return PreparedDataset(base=base, images=images)
 
 
-def evaluate_combo(prepared: PreparedDataset, params: PipelineParams,
-                   bank=None) -> float:
-    """Mean accuracy of the pipeline over the prepared images.
-
-    ``params`` may differ from the prepared base only in what comes after
-    the image spectrum: the kernel's x_limit, sigma, length and number of
-    orientations, the Otsu scope and the component size.  ``bank``, when
-    given, is ``build_bank(params.kernel)`` built already.
-    """
-    prepared_with = _prepared_settings(prepared.base)
-    for name, value in _prepared_settings(params).items():
-        if value != prepared_with[name]:
-            raise SweepError(
-                f"{name}={value!r} differs from the prepared "
-                f"{name}={prepared_with[name]!r}"
-            )
-    if bank is None:
-        bank = build_bank(params.kernel)
+def evaluate_combo(prepared: PreparedDataset, bank: KernelBank) -> float:
+    """Mean accuracy of the bank over the prepared images, under the
+    prepared base's settings.  The image spectra were padded for the base's
+    kernel grid, so every kernel of the bank must have that shape."""
+    grid = (prepared.base.kernel.grid_rows, prepared.base.kernel.grid_cols)
+    for kernel in bank.kernels:
+        if kernel.weights.shape != grid:
+            raise SweepError(f"kernel shape {kernel.weights.shape} differs "
+                             f"from the prepared kernel grid {grid}")
     spectra = {}        # transform shape -> conjugate kernel spectra
     accuracies = []
     for index, (spectrum, fov, gt) in enumerate(prepared.images):
@@ -159,23 +146,17 @@ def evaluate_combo(prepared: PreparedDataset, params: PipelineParams,
                     kernel_spectra(bank.kernels, spectrum.shape))
             resp = run_stage("max_response", spectrum_response, spectrum,
                              spectra[spectrum.shape])
-            result = response_stages(resp, fov, params, set())
+            result = response_stages(resp, fov, prepared.base, set())
             _, _, acc = basic_metrics(confusion(result.vessel_map, gt))
             if acc is None:
                 raise ValueError("accuracy undefined (no pixels)")
         except Exception as exc:
             raise SweepError(
-                f"combo x={params.kernel.x_limit} sigma={params.kernel.sigma} "
-                f"L={params.kernel.length}: image #{index} failed: {exc}"
+                f"combo x={bank.params.x_limit} sigma={bank.params.sigma} "
+                f"L={bank.params.length}: image #{index} failed: {exc}"
             ) from exc
         accuracies.append(acc)
     return float(np.mean(accuracies))
-
-
-def _combo_params(base: PipelineParams, x_limit, sigma, length) -> PipelineParams:
-    kernel = replace(base.kernel, x_limit=float(x_limit), sigma=float(sigma),
-                     length=float(length))
-    return replace(base, kernel=kernel)
 
 
 def _scorer(prepared: PreparedDataset):
@@ -187,14 +168,15 @@ def _scorer(prepared: PreparedDataset):
     by_weights = {}     # the bank's weight bytes -> score
 
     def score(x, sigma, length) -> float | None:
-        params = _combo_params(prepared.base, x, sigma, length)
         try:
-            bank = build_bank(params.kernel)
+            bank = build_bank(replace(
+                prepared.base.kernel, x_limit=float(x), sigma=float(sigma),
+                length=float(length)))
         except KernelConstructionError:
             return None
         weights = tuple(k.weights.tobytes() for k in bank.kernels)
         if weights not in by_weights:
-            by_weights[weights] = evaluate_combo(prepared, params, bank)
+            by_weights[weights] = evaluate_combo(prepared, bank)
         return by_weights[weights]
 
     return score

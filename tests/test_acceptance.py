@@ -10,6 +10,7 @@ same eval helper also runs on small phantom trees in both layouts.
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from vesselmf import (
     write_pnm,
 )
 from vesselmf import cli
-from vesselmf.sweep import _combo_params, _window
+from vesselmf.sweep import _window
 
 from test_response import correlate, naive_convolve
 from test_segment import flood_fill_components
@@ -327,7 +328,8 @@ def test_criterion_9_sweep_shape():
     final_x = result.best[0]
     grid = [round(rs.lo + 0.01 * i, 10)
             for i in range(int(round((rs.hi - rs.lo) / 0.01)) + 1)]
-    accs = [evaluate_combo(prepared, _combo_params(base, final_x, s, 7))
+    accs = [evaluate_combo(prepared, build_bank(replace(
+                base.kernel, x_limit=final_x, sigma=s, length=7.0)))
             for s in grid]
     oracle_sigma = grid[int(np.argmax(accs))]
     sigma_ok = abs(result.best[1] - oracle_sigma) <= 0.1 + 1e-9

@@ -538,7 +538,7 @@ def test_bad_sweep_grid_exits_2_before_any_image_is_read(
                  flag, spec])
     assert code == 2
     assert reads == []
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {flag}: {message}\n"
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -65,7 +65,7 @@ def test_gray_overshoot_within_slack_is_clipped():
     assert image.data.tolist() == [[0.0, 0.5, 1.0]]
 
 
-@pytest.mark.parametrize("value", [-1e-6, 1.0 + 1e-6])
+@pytest.mark.parametrize("value", [-1e-6, 1.0 + 1e-6, np.nan])
 def test_gray_out_of_range_rejected(value):
     with pytest.raises(ValueError, match=r"gray values outside \[0, 1\]"):
         GrayImage.from_array(np.array([[0.5, value]]))

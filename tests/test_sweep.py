@@ -8,7 +8,6 @@ import pytest
 import vesselmf
 from vesselmf import (
     BinaryImage,
-    ClaheParams,
     GridSpec,
     KernelParams,
     PipelineParams,
@@ -24,9 +23,15 @@ from vesselmf import (
     run_pipeline,
     three_round_search,
 )
-from vesselmf.sweep import MAX_GRID_VALUES, _combo_params, _scorer, _window
+from vesselmf.sweep import MAX_GRID_VALUES, _scorer, _window
 
 from test_cli import _count_calls
+
+
+def _bank(base, x_limit, sigma, length):
+    """The bank the sweep scores for (x_limit, sigma, length) at ``base``."""
+    return build_bank(replace(base.kernel, x_limit=float(x_limit),
+                              sigma=float(sigma), length=float(length)))
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +93,8 @@ class TestGridSpec:
 class TestEvaluateCombo:
     def test_single_image_mean(self, small_dataset, base_params):
         one = small_dataset[:1]
-        mean = evaluate_combo(prepare(one, base_params), base_params)
         bank = build_bank(base_params.kernel)
+        mean = evaluate_combo(prepare(one, base_params), bank)
         image, fov, gt = one[0]
         result = run_pipeline(image, fov, base_params, bank)
         _, _, acc = basic_metrics(confusion(result.vessel_map, gt))
@@ -97,28 +102,29 @@ class TestEvaluateCombo:
 
     def test_duplicated_image_same_mean(self, small_dataset, base_params):
         one = small_dataset[:1]
+        bank = build_bank(base_params.kernel)
         assert evaluate_combo(prepare(one * 3, base_params),
-                              base_params) == pytest.approx(
-            evaluate_combo(prepare(one, base_params), base_params), abs=1e-12)
+                              bank) == pytest.approx(
+            evaluate_combo(prepare(one, base_params), bank), abs=1e-12)
 
     def test_matched_scale_beats_oversized(self, small_dataset, base_params):
         # phantom vessels have a 1.5 px profile; a 5 px kernel is mismatched
         prepared = prepare(small_dataset, base_params)
-        good = evaluate_combo(
-            prepared, _combo_params(base_params, 7.0, 1.5, 7))
-        bad = evaluate_combo(
-            prepared, _combo_params(base_params, 7.0, 5.0, 7))
+        good = evaluate_combo(prepared, _bank(base_params, 7.0, 1.5, 7))
+        bad = evaluate_combo(prepared, _bank(base_params, 7.0, 5.0, 7))
         assert good >= bad
 
     def test_empty_dataset_rejected(self, base_params):
         with pytest.raises(SweepError):
-            evaluate_combo(prepare([], base_params), base_params)
+            evaluate_combo(prepare([], base_params),
+                           build_bank(base_params.kernel))
 
     def test_failure_names_image(self, small_dataset, base_params):
         image, fov, _ = small_dataset[0]
         broken = [(image, fov, None)]   # no ground truth to score against
         with pytest.raises(SweepError) as err:
-            evaluate_combo(prepare(broken, base_params), base_params)
+            evaluate_combo(prepare(broken, base_params),
+                           build_bank(base_params.kernel))
         assert "image #0" in str(err.value)
 
 
@@ -254,12 +260,12 @@ class TestPreparedSearch:
         # across the truncation, so those hold only 97 distinct banks
         assert len(result.evaluations) == 315
         assert len(keys) == 308
-        evaluated = [(p.kernel.x_limit, p.kernel.sigma, p.kernel.length)
-                     for _, p, _ in counts["combo"]]
+        evaluated = [(b.params.x_limit, b.params.sigma, b.params.length)
+                     for _, b in counts["combo"]]
         assert len(evaluated) == len(set(evaluated)) == 97
         assert set(evaluated) <= keys
         banks = {tuple(k.weights.tobytes() for k in bank.kernels)
-                 for _, _, bank in counts["combo"]}
+                 for _, bank in counts["combo"]}
         assert len(banks) == 97
 
     def test_invariants_computed_once(self, criterion_9_run):
@@ -279,7 +285,7 @@ class TestPreparedSearch:
         for x, s, length, acc in result.evaluations:
             if (x, s, length) not in fresh:
                 fresh[x, s, length] = evaluate_combo(
-                    prepared, _combo_params(base, x, s, length))
+                    prepared, _bank(base, x, s, length))
             assert acc == fresh[x, s, length], (x, s, length)
         assert len(fresh) == 308
 
@@ -290,8 +296,7 @@ class TestPreparedSearch:
     def test_x_limits_are_evaluated_once_per_bank(
             self, monkeypatch, x_limits, evaluations):
         base = _criterion_9_base()
-        banks = [build_bank(_combo_params(base, x, 1.0, 7).kernel)
-                 for x in x_limits]
+        banks = [_bank(base, x, 1.0, 7) for x in x_limits]
         support_cells = sum(int((a.support != b.support).sum()) for a, b in
                             zip(banks[0].kernels, banks[1].kernels))
         assert support_cells == (0 if evaluations == 1 else 4)
@@ -299,7 +304,7 @@ class TestPreparedSearch:
         score = _scorer(prepare(_criterion_9_set()[:2], base))
         scores = [score(x, 1.0, 7) for x in x_limits]
         assert len(combos) == evaluations
-        assert [p.kernel.x_limit for _, p, _ in combos] == \
+        assert [b.params.x_limit for _, b in combos] == \
             list(x_limits[:evaluations])
         if evaluations == 1:
             assert scores[0] == scores[1]
@@ -316,17 +321,20 @@ class TestPreparedSearch:
                                   "smaller than tile grid 8x8")
         assert combos == []
 
-    @pytest.mark.parametrize("change", [
-        {"gray_mode": "luma"},
-        {"clahe": ClaheParams(clip_limit=0.02)},
-        {"kernel": KernelParams(sigma=1.0, length=7, grid_rows=19)},
-        {"kernel": KernelParams(sigma=1.0, length=7, grid_cols=13)},
-    ], ids=["gray_mode", "clahe", "grid_rows", "grid_cols"])
+    @pytest.mark.parametrize("grid,shape", [
+        ({"grid_rows": 19}, (19, 15)),
+        ({"grid_cols": 13}, (17, 13)),
+    ], ids=["grid_rows", "grid_cols"])
     def test_params_must_match_the_prepared_base(self, small_dataset,
-                                                 base_params, change):
+                                                 base_params, grid, shape):
+        """The image spectra were padded for the base's kernel grid; a bank
+        built on another grid is an error, not a shifted response."""
         prepared = prepare(small_dataset, base_params)
-        with pytest.raises(SweepError, match="differs from the prepared"):
-            evaluate_combo(prepared, replace(base_params, **change))
+        bank = build_bank(replace(base_params.kernel, **grid))
+        with pytest.raises(SweepError) as err:
+            evaluate_combo(prepared, bank)
+        assert str(err.value) == (f"kernel shape {shape} differs from the "
+                                  "prepared kernel grid (17, 15)")
 
 
 def _mixed_size_set():
@@ -358,5 +366,5 @@ def test_prepared_combo_equals_per_image_pipeline(params, monkeypatch):
         accuracies.append(basic_metrics(confusion(result.vessel_map, gt))[2])
     prepared = prepare(dataset, params)
     transforms = _count_kernel_transforms(monkeypatch, (17, 15))
-    assert evaluate_combo(prepared, params) == float(np.mean(accuracies))
+    assert evaluate_combo(prepared, bank) == float(np.mean(accuracies))
     assert len(transforms) == 2 * params.kernel.n_orientations
