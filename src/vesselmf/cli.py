@@ -26,7 +26,7 @@ from .kernels import KernelParams, build_bank
 from .metrics import auc, evaluate_pair, roc_curve
 from .pnm import read_pnm, write_pnm
 from .preprocess import ClaheParams
-from .segment import PipelineParams, default_min_component_size, run_pipeline
+from .segment import PipelineParams, run_pipeline
 from .sweep import (GridSpec, PreparedDataset, SweepError, length_search,
                     prepare_image, three_round_search)
 
@@ -165,9 +165,8 @@ _PIPELINE_FLAGS = {
                 "profile truncation half-width", None),
     "orientations": (int, KernelParams.n_orientations,
                      "number of kernel orientations", None),
-    "min-size": (int, PipelineParams.min_component_size,
-                 "small-component cutoff in pixels; when unset, the default "
-                 "is scaled by image area", None),
+    "min-size": (int, None, "small-component cutoff in pixels (default 30 "
+                 "at 565x584, scaled by image area)", None),
     "otsu-scope": (str, PipelineParams.otsu_scope,
                    "histogram scope for the threshold",
                    ["full-image", "fov-only"]),
@@ -184,8 +183,10 @@ _PIPELINE_FLAGS = {
 def _add_pipeline_flags(parser):
     g = parser.add_argument_group("pipeline")
     for name, (kind, default, text, choices) in _PIPELINE_FLAGS.items():
+        if default is not None:
+            text = f"{text} (default {default})"
         g.add_argument(f"--{name}", type=kind, choices=choices, default=None,
-                       help=f"{text} (default {default})")
+                       help=text)
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value file of the flags above")
 
@@ -217,24 +218,15 @@ def _read_config(path: Path) -> dict:
     return values
 
 
-def _settings(args) -> dict:
-    """The pipeline settings that a flag or the ``--config`` file sets, by
-    flag name; a flag wins over the file."""
-    settings = _read_config(args.config) if args.config else {}
+def resolve_pipeline_params(args) -> PipelineParams:
+    """Merge flags over config-file values over the table's defaults; an
+    unset ``--min-size`` stays None, the pipeline's area rule."""
+    s = {name: flag[1] for name, flag in _PIPELINE_FLAGS.items()}
+    s.update(_read_config(args.config) if args.config else {})
     for name in _PIPELINE_FLAGS:
         value = getattr(args, name.replace("-", "_"))
         if value is not None:
-            settings[name] = value
-    return settings
-
-
-def resolve_pipeline_params(args, settings=None) -> PipelineParams:
-    """Merge flags over config-file values over the table's defaults.
-
-    ``settings`` is ``_settings(args)``, read here when not given.
-    """
-    s = {name: flag[1] for name, flag in _PIPELINE_FLAGS.items()}
-    s.update(_settings(args) if settings is None else settings)
+            s[name] = value
     return PipelineParams(
         kernel=KernelParams(sigma=s["sigma"], length=s["length"],
                             x_limit=s["x-limit"],
@@ -247,22 +239,12 @@ def resolve_pipeline_params(args, settings=None) -> PipelineParams:
     )
 
 
-def _resolve_sized(args):
-    """The resolved params, and ``sized(image)``: those params with the
-    cutoff scaled by the image's area when no ``--min-size`` is set."""
-    settings = _settings(args)
-    params = resolve_pipeline_params(args, settings)
-    if "min-size" in settings:
-        return params, lambda image: params
-    return params, lambda image: replace(
-        params, min_component_size=default_min_component_size(
-            image.width, image.height))
-
-
 def _params_meta(params: PipelineParams) -> str:
     k = params.kernel
+    min_size = params.min_component_size
     return (f"sigma={k.sigma} length={k.length} x_limit={k.x_limit} "
-            f"orientations={k.n_orientations} min_size={params.min_component_size} "
+            f"orientations={k.n_orientations} "
+            f"min_size={'auto' if min_size is None else min_size} "
             f"otsu_scope={params.otsu_scope} gray={params.gray_mode}")
 
 
@@ -293,31 +275,30 @@ def _fmt(value, digits=4) -> str:
     return "NA" if value is None else f"{value:.{digits}f}"
 
 
-def _run_entries(args, output, with_gt=False, threads=1, on_stage=None):
-    """Run the pipeline on every dataset entry and ``output`` on each result.
+def _run_entries(args, params, output, with_gt=False, threads=1,
+                 on_stage=None):
+    """Run the pipeline at ``params`` on every dataset entry and ``output``
+    on each result.
 
-    The params, ``--config`` included, are resolved and checked and the bank
-    is built once, before any image is read; per entry only the default
-    ``--min-size`` follows the image area.  ``output(entry_id, result, fov,
-    gt)`` writes or scores one result; ``on_stage(entry_id)``, when given,
-    returns that entry's ``run_pipeline`` stage callback.  Failures print as
-    ``error: <id>: ...`` in manifest order, then one ``failed:`` line.
-    Returns the ``(id, output value, params)`` of each entry that succeeded,
-    in manifest order, and the exit code.
+    The bank is built once, before any image is read; every entry runs at
+    the same params.  ``output(entry_id, result, fov, gt)`` writes or scores
+    one result; ``on_stage(entry_id)``, when given, returns that entry's
+    ``run_pipeline`` stage callback.  Failures print as ``error: <id>:
+    ...`` in manifest order, then one ``failed:`` line.  Returns the ``(id,
+    output value)`` of each entry that succeeded, in manifest order, and
+    the exit code; no ``output`` may return an exception.
     """
-    params, sized_for = _resolve_sized(args)
     bank = build_bank(params.kernel)
     manifest = discover_dataset(args.dataset_dir, args.layout)
 
     def worker(entry):
         try:
             image, fov, gt = _load_entry(entry, with_gt)
-            sized = sized_for(image)
-            result = run_pipeline(image, fov, sized, bank,
+            result = run_pipeline(image, fov, params, bank,
                                   on_stage(entry.id) if on_stage else None)
-            return entry.id, output(entry.id, result, fov, gt), sized
+            return entry.id, output(entry.id, result, fov, gt)
         except Exception as exc:
-            return entry.id, exc, None
+            return entry.id, exc
 
     if threads <= 1:
         # Serial on the calling thread: a one-worker pool raised the peak
@@ -327,12 +308,12 @@ def _run_entries(args, output, with_gt=False, threads=1, on_stage=None):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(worker, manifest))
     done, failures = [], []
-    for entry_id, value, sized in results:
-        if sized is None:
+    for entry_id, value in results:
+        if isinstance(value, Exception):
             failures.append(entry_id)
             print(f"error: {entry_id}: {value}", file=sys.stderr)
         else:
-            done.append((entry_id, value, sized))
+            done.append((entry_id, value))
     if failures:
         print(f"failed: {', '.join(failures)}", file=sys.stderr)
     return done, 1 if failures else 0
@@ -353,7 +334,7 @@ def cmd_segment(args) -> int:
                 write_pnm(result.mfr_image))
 
     _, code = _run_entries(
-        args, write_maps,
+        args, resolve_pipeline_params(args), write_maps,
         on_stage=_stage_writer(out_dir) if args.dump_stages else None)
     return code
 
@@ -371,15 +352,16 @@ def _stage_writer(out_dir: Path):
 
 def cmd_eval(args) -> int:
     threads = _thread_count(args)
+    params = resolve_pipeline_params(args)
     scope_fov = args.metrics_scope == "fov"
 
     def score(entry_id, result, fov, gt):
         return evaluate_pair(result.vessel_map, gt, response=result.mfr_image,
                              scope=fov if scope_fov else None)
 
-    done, code = _run_entries(args, score, with_gt=True, threads=threads)
-    rows = [(entry_id, report) for entry_id, report, _ in done]
-    meta = _params_meta(done[-1][2]) if done else ""
+    rows, code = _run_entries(args, params, score, with_gt=True,
+                              threads=threads)
+    meta = _params_meta(params)
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
@@ -408,7 +390,7 @@ def _eval_table(rows):
 
 
 def _write_eval_csv(path: Path, rows, meta: str):
-    lines = [f"# vesselmf eval {meta}".rstrip(), ",".join(_EVAL_COLUMNS)]
+    lines = [f"# vesselmf eval {meta}", ",".join(_EVAL_COLUMNS)]
     for name, *vals in _eval_table(rows):
         lines.append(",".join([name] + [_fmt(v) for v in vals]))
     path.write_text("\n".join(lines) + "\n")
@@ -421,24 +403,24 @@ def _write_eval_json(path: Path, rows, meta: str):
 
 
 def cmd_roc(args) -> int:
+    params = resolve_pipeline_params(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_curve(entry_id, result, fov, gt):
-        curve = roc_curve(result.mfr_image, gt)
+        points = roc_curve(result.mfr_image, gt)
         curve_lines = ["fpr,tpr"] + [
-            f"{fpr:.6f},{tpr:.6f}" for fpr, tpr in curve.points
+            f"{fpr:.6f},{tpr:.6f}" for fpr, tpr in points
         ]
         (out_dir / f"{entry_id}_roc.csv").write_text(
             "\n".join(curve_lines) + "\n")
-        return auc(curve)
+        return auc(points)
 
-    done, code = _run_entries(args, write_curve, with_gt=True)
-    meta = _params_meta(done[-1][2]) if done else ""
-    lines = [f"# vesselmf roc {meta}".rstrip(), "image,auc"]
-    lines += [f"{name},{_fmt(a)}" for name, a, _ in done]
+    done, code = _run_entries(args, params, write_curve, with_gt=True)
+    lines = [f"# vesselmf roc {_params_meta(params)}", "image,auc"]
+    lines += [f"{name},{_fmt(a)}" for name, a in done]
     if done:
-        lines.append(f"Average,{_fmt(_average([a for _, a, _ in done]))}")
+        lines.append(f"Average,{_fmt(_average([a for _, a in done]))}")
     (out_dir / "roc_summary.csv").write_text("\n".join(lines) + "\n")
     return code
 
@@ -465,7 +447,7 @@ def _grid(spec: str, flag: str, kernel: KernelParams, name: str,
 
 
 def cmd_sweep(args) -> int:
-    params, sized_for = _resolve_sized(args)
+    params = resolve_pipeline_params(args)
     kernel = params.kernel
     if args.l_grid:
         grid_l = _grid(args.l_grid, "--l-grid", kernel, "length", int)
@@ -477,14 +459,11 @@ def cmd_sweep(args) -> int:
     if len(manifest) == 0:
         print("error: sweep needs a non-empty dataset", file=sys.stderr)
         return 2
-    prepared = None
+    prepared = PreparedDataset(base=params, images=[])
     for entry in manifest:
         try:
             image, fov, gt = _load_entry(entry, with_gt=True)
-            if prepared is None:
-                prepared = PreparedDataset(base=sized_for(image), images=[])
-            prepared.images.append(
-                prepare_image(image, fov, gt, prepared.base))
+            prepared.images.append(prepare_image(image, fov, gt, params))
         except Exception as exc:
             raise DatasetError(f"{entry.id}: {exc}") from exc
     if args.l_grid:

@@ -85,6 +85,11 @@ class KernelBank:
     params: KernelParams
     kernels: tuple
 
+    def __post_init__(self):
+        if not self.kernels:
+            raise KernelConstructionError(
+                f"empty kernel bank for {self.params}")
+
     def __len__(self):
         return len(self.kernels)
 

@@ -50,19 +50,6 @@ class MetricsReport:
         return abs(self.mad_seg - self.mad_gt)
 
 
-@dataclass
-class RocCurve:
-    """(fpr, tpr) points sorted by fpr, from (0, 0) to (1, 1)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"expected (n, 2) points, got shape {pts.shape}")
-        self.points = pts
-
-
 def _in_scope(image, scope: BinaryImage | None) -> np.ndarray:
     """The image's pixels where the scope is True (all pixels when absent)."""
     if scope is None:
@@ -119,11 +106,11 @@ def mad(image, *, scope: BinaryImage | None = None) -> float | None:
 
 
 def roc_curve(response: GrayImage, gt: BinaryImage,
-              scope: BinaryImage | None = None) -> RocCurve:
+              scope: BinaryImage | None = None) -> np.ndarray:
     """Sweep the 256 quantized levels descending; classify level > t as vessel.
 
-    Points are (fpr, tpr) per threshold with (0, 0) prepended and (1, 1)
-    appended.
+    Returns the (n, 2) float64 array of (fpr, tpr) points, one per
+    threshold, sorted by fpr, with (0, 0) prepended and (1, 1) appended.
     """
     check_same_size(response, gt, "response and ground truth")
     levels = response.levels
@@ -152,13 +139,13 @@ def roc_curve(response: GrayImage, gt: BinaryImage,
     for t in range(255, -1, -1):
         points.append((neg_above[t] / neg, pos_above[t] / pos))
     points.append((1.0, 1.0))
-    return RocCurve(points=np.array(points))
+    return np.array(points, dtype=np.float64)
 
 
-def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under the curve over fpr in [0, 1]."""
-    fpr = curve.points[:, 0]
-    tpr = curve.points[:, 1]
+def auc(points: np.ndarray) -> float:
+    """Trapezoidal area under the (fpr, tpr) points of ``roc_curve``."""
+    fpr = points[:, 0]
+    tpr = points[:, 1]
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1])) / 2.0)
 
 

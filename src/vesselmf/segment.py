@@ -73,16 +73,21 @@ class ThresholdDiagnostics:
 
 @dataclass
 class PipelineParams:
-    """Everything the per-image pipeline needs besides the kernel bank."""
+    """Everything the per-image pipeline needs besides the kernel bank.
+
+    ``min_component_size`` None (the default) means the area rule of
+    ``default_min_component_size``, applied to each image's own size: 30
+    pixels at DRIVE's 565x584.
+    """
 
     kernel: KernelParams
     clahe: ClaheParams = field(default_factory=ClaheParams)
-    min_component_size: int = 30
+    min_component_size: int | None = None
     otsu_scope: str = "full-image"   # or "fov-only"
     gray_mode: str = "pca"           # "luma" is a CLI fallback, not evaluated
 
     def __post_init__(self):
-        if self.min_component_size < 0:
+        if self.min_component_size is not None and self.min_component_size < 0:
             raise ValueError("min_component_size must be non-negative")
         if self.otsu_scope not in ("full-image", "fov-only"):
             raise ValueError(f"unknown otsu_scope {self.otsu_scope!r}")
@@ -108,9 +113,10 @@ class PipelineStageError(RuntimeError):
         self.__cause__ = cause
 
 
-def default_min_component_size(width: int, height: int, base: int = 30) -> int:
-    """Scale the small-component cutoff by image area relative to DRIVE."""
-    return max(0, round(base * (width * height) / _REFERENCE_AREA))
+def default_min_component_size(width: int, height: int) -> int:
+    """The small-component cutoff of an unset ``min_component_size``: 30
+    pixels scaled by image area relative to DRIVE."""
+    return max(0, round(30 * (width * height) / _REFERENCE_AREA))
 
 
 def build_histogram(image: GrayImage, mask: BinaryImage | None = None) -> Histogram:
@@ -321,8 +327,10 @@ def response_stages(resp: np.ndarray, fov: BinaryImage,
 
     binary = run_stage("binarize", binarize, norm, diag.k_star)
     on_stage("04_threshold", binary)
-    cleaned = run_stage("length_filter", length_filter, binary,
-                        params.min_component_size)
+    min_size = params.min_component_size
+    if min_size is None:
+        min_size = default_min_component_size(binary.width, binary.height)
+    cleaned = run_stage("length_filter", length_filter, binary, min_size)
     on_stage("05_length_filtered", cleaned)
     vessels = run_stage("apply_mask", apply_mask, cleaned, fov)
     on_stage("06_masked", vessels)

@@ -92,8 +92,9 @@ class PreparedDataset:
     ``images`` holds one (ImageSpectrum, fov, gt) triple per dataset image,
     in dataset order.  ``base`` holds the settings the spectra were built
     with (gray mode, CLAHE, kernel grid), the settings every bank is scored
-    under (Otsu scope, component size), and the values a search holds
-    fixed: the length of ``three_round_search``, the x_limit and sigma of
+    under (Otsu scope, component size; an unset size follows each image's
+    area, as in ``run_pipeline``), and the values a search holds fixed: the
+    length of ``three_round_search``, the x_limit and sigma of
     ``length_search``.
     """
 

@@ -1,10 +1,11 @@
 """Generate the output lock: SHA-256 digests of the pipeline's outputs.
 
 The matrix is ``generate_phantom(size, seed=3)`` for four sizes, three
-(sigma, L) kernels and both Otsu scopes, each run with the area-scaled
-small-component cutoff.  Per case the lock holds the digests of the vessel
-map, of the normalized response's 256 levels and of the raw response as
-float64 bytes, plus ``k_star`` and the sorted degenerate flags.  It also
+(sigma, L) kernels and both Otsu scopes, each run with the cutoff unset,
+so the pipeline's own area-scaled small-component rule applies.  Per case
+the lock holds the digests of the vessel map, of the normalized response's
+256 levels and of the raw response as float64 bytes, plus ``k_star`` and
+the sorted degenerate flags.  It also
 holds the digest of every file one 64x64 ``segment --dump-mfr
 --dump-stages`` run writes.  FFT round-off may differ between numpy
 versions, so the lock records numpy's ``major.minor``; only the raw
@@ -25,7 +26,6 @@ from vesselmf import (
     PipelineParams,
     build_bank,
     cli,
-    default_min_component_size,
     generate_phantom,
     run_pipeline,
     write_pnm,
@@ -67,7 +67,6 @@ def run_case(case_id: str) -> dict:
     phantom = _phantom(size)
     params = PipelineParams(
         kernel=KernelParams(sigma=float(sigma), length=int(length)),
-        min_component_size=default_min_component_size(size, size),
         otsu_scope=scope,
     )
     result = run_pipeline(phantom.rgb, phantom.fov, params,

@@ -219,7 +219,33 @@ class TestEvalCommand:
         code = main(["eval", "--dataset-dir", str(root), "--layout", "drive",
                      "--report", str(report), *PIPE_FLAGS])
         assert code == 1
-        assert report.exists()   # partial results flushed
+        # partial results flushed; the header restates the run's settings
+        # although no entry succeeded
+        assert report.read_text().splitlines() == [
+            "# vesselmf eval sigma=1.5 length=9.0 x_limit=6.99 orientations=4 "
+            "min_size=6 otsu_scope=full-image gray=pca",
+            "image,specificity,sensitivity,accuracy,rmsd,mad_diff,auc"]
+
+    @pytest.mark.parametrize("command,out_flag,out,report", [
+        ("eval", "--report", "report.csv", "report.csv"),
+        ("roc", "--out", "roc", "roc/roc_summary.csv"),
+    ])
+    @pytest.mark.parametrize("min_size,token", [
+        ([], "min_size=auto"), (["--min-size", "0"], "min_size=0"),
+    ], ids=["unset", "zero"])
+    def test_header_names_the_cutoff(self, tmp_path, command, out_flag, out,
+                                     report, min_size, token):
+        """An unset cutoff is the pipeline's area rule, whatever the image
+        sizes; an explicit 0 is printed as given."""
+        _make_drive_tree(tmp_path / "data", n=1, size=32)
+        code = main([command, "--dataset-dir", str(tmp_path / "data"),
+                     "--layout", "drive", out_flag, str(tmp_path / out),
+                     "--sigma", "1.5", "--length", "9", "--orientations", "4",
+                     *min_size])
+        assert code == 0
+        header = (tmp_path / report).read_text().splitlines()[0].split()
+        assert header[:3] == ["#", "vesselmf", command]
+        assert [t for t in header if t.startswith("min_size=")] == [token]
 
     def test_config_file_and_flag_override(self, tmp_path):
         _make_drive_tree(tmp_path / "data", n=1)
@@ -301,6 +327,32 @@ class TestSweepCommand:
         data = report.read_bytes()
         assert len(data.splitlines()) == rows + 1
         assert hashlib.sha256(data).hexdigest() == report_sha256
+
+
+def test_sweep_scores_mixed_sizes_as_eval_does(tmp_path, capsys):
+    """On a manifest of a 256x256 and a 128x128 image, a one-point sweep
+    reports the Average accuracy that eval reports at the same params: each
+    image is scored at its own area-scaled cutoff (6 and 1 pixels)."""
+    lines = []
+    for size in (256, 128):
+        phantom = generate_phantom(size, seed=1, noise_sigma=0.08)
+        for name, image in ((f"p{size}.ppm", phantom.rgb),
+                            (f"p{size}_fov.pgm", phantom.fov),
+                            (f"p{size}_gt.pgm", phantom.vessels)):
+            _write(tmp_path / name, image)
+        lines.append(f"p{size}.ppm,p{size}_fov.pgm,p{size}_gt.pgm")
+    listing = tmp_path / "manifest.csv"
+    listing.write_text("\n".join(lines) + "\n")
+    dataset = ["--dataset-dir", str(listing), "--layout", "flat",
+               "--sigma", "0.57"]
+
+    assert main(["sweep", *dataset, "--report", str(tmp_path / "s.csv"),
+                 "--l-grid", "4:4"]) == 0
+    swept = float(capsys.readouterr().out.split("mean_accuracy=")[1])
+    assert main(["eval", *dataset, "--report", str(tmp_path / "e.csv"),
+                 "--length", "4"]) == 0
+    average = (tmp_path / "e.csv").read_text().splitlines()[-1].split(",")
+    assert f"{swept:.4f}" == average[3]
 
 
 class TestKernelCommand:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vesselmf import (
+    KernelBank,
     KernelConstructionError,
     KernelParams,
     build_bank,
@@ -162,6 +163,13 @@ class TestBank:
         with pytest.raises(ValueError) as err:
             KernelParams(**kwargs)
         assert str(err.value) == message
+
+    def test_empty_bank_is_named(self):
+        """A bank without kernels fails where it is made, not later inside
+        the filter response with an unrelated error."""
+        with pytest.raises(KernelConstructionError,
+                           match="^empty kernel bank for KernelParams"):
+            KernelBank(DRIVE, ())
 
     def test_one_degree_steps_are_the_finest_bank(self):
         assert len(build_bank(KernelParams(sigma=1.0, length=8,

@@ -126,34 +126,35 @@ class TestRoc:
         gt_arr = rng.random((10, 10)) < 0.3
         gt = _binary(gt_arr)
         response = GrayImage.from_array(gt_arr.astype(float))
-        curve = roc_curve(response, gt)
-        assert any(f == 0.0 and t == 1.0 for f, t in curve.points)
-        assert auc(curve) == pytest.approx(1.0, abs=1e-12)
+        points = roc_curve(response, gt)
+        assert any(f == 0.0 and t == 1.0 for f, t in points)
+        assert auc(points) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_response_diagonal(self):
         gt = _binary([[1, 0], [0, 1]])
         response = GrayImage.from_array(np.full((2, 2), 0.5))
-        curve = roc_curve(response, gt)
-        interior = curve.points[1:-1]
+        points = roc_curve(response, gt)
+        interior = points[1:-1]
         assert set(map(tuple, interior)) <= {(0.0, 0.0), (1.0, 1.0)}
-        assert auc(curve) == pytest.approx(0.5, abs=1e-12)
+        assert auc(points) == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_points(self):
         rng = np.random.default_rng(6)
         response = GrayImage.from_array(rng.random((20, 20)))
         gt = _binary(rng.random((20, 20)) < 0.4)
-        curve = roc_curve(response, gt)
-        assert np.all(np.diff(curve.points[:, 0]) >= 0)
-        assert np.all(np.diff(curve.points[:, 1]) >= 0)
-        assert tuple(curve.points[0]) == (0.0, 0.0)
-        assert tuple(curve.points[-1]) == (1.0, 1.0)
+        points = roc_curve(response, gt)
+        assert points.dtype == np.float64 and points.shape == (258, 2)
+        assert np.all(np.diff(points[:, 0]) >= 0)
+        assert np.all(np.diff(points[:, 1]) >= 0)
+        assert tuple(points[0]) == (0.0, 0.0)
+        assert tuple(points[-1]) == (1.0, 1.0)
 
     def test_random_response_auc_near_half(self):
         rng = np.random.default_rng(7)
         response = GrayImage.from_array(rng.random((100, 100)))
         gt = _binary(rng.random((100, 100)) < 0.5)
-        curve = roc_curve(response, gt)
-        assert auc(curve) == pytest.approx(0.5, abs=0.05)
+        points = roc_curve(response, gt)
+        assert auc(points) == pytest.approx(0.5, abs=0.05)
 
     def test_single_class_gt_undefined(self):
         response = GrayImage.from_array(np.random.default_rng(8).random((4, 4)))
@@ -178,8 +179,8 @@ class TestRoc:
             np.array([[1.0, 0.0], [1.0, 0.0]]))
         gt = _binary([[1, 0], [0, 1]])
         scope = _binary([[1, 1], [0, 0]])
-        curve = roc_curve(response, gt, scope)
-        assert auc(curve) == pytest.approx(1.0, abs=1e-12)
+        points = roc_curve(response, gt, scope)
+        assert auc(points) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEvaluatePair:
