@@ -24,10 +24,9 @@ from .metrics import (
 )
 from .phantom import Phantom, generate_phantom
 from .pnm import PnmDecodeError, read_pnm, write_pnm
-from .preprocess import ClaheParams, clahe, luma_grayscale, pca_grayscale
+from .preprocess import ClaheParams, clahe, pca_grayscale
 from .response import max_response, normalize_response
 from .segment import (
-    Histogram,
     PipelineParams,
     PipelineStageError,
     apply_mask,

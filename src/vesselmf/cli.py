@@ -156,8 +156,8 @@ def _load_entry(entry: ManifestEntry, with_gt: bool):
 # argument plumbing
 
 # flag name (also its --config key) -> (type, default, help, choices).
-# sigma 0.57 and L 8 are the paper's DRIVE point (an int 8, so report
-# headers read length=8); the rest are the library's.
+# sigma 0.57 and L 8 are the paper's DRIVE point; the rest are the
+# library's.
 _PIPELINE_FLAGS = {
     "sigma": (float, 0.57, "Gaussian profile scale", None),
     "length": (float, 8, "vessel segment length L", None),
@@ -170,9 +170,6 @@ _PIPELINE_FLAGS = {
     "otsu-scope": (str, PipelineParams.otsu_scope,
                    "histogram scope for the threshold",
                    ["full-image", "fov-only"]),
-    "gray": (str, PipelineParams.gray_mode,
-             "gray conversion (luma is an unevaluated fallback)",
-             ["pca", "luma"]),
     "clahe-tiles": (int, ClaheParams.tiles_x, "tile grid size per side", None),
     "clahe-clip": (float, ClaheParams.clip_limit,
                    "clip limit as a tile-count fraction", None),
@@ -235,17 +232,21 @@ def resolve_pipeline_params(args) -> PipelineParams:
                           clip_limit=s["clahe-clip"], bins=s["clahe-bins"]),
         min_component_size=s["min-size"],
         otsu_scope=s["otsu-scope"],
-        gray_mode=s["gray"],
     )
+
+
+def _num(value) -> str:
+    """An integral value as that integer (8.0 -> 8), else str(value)."""
+    return str(int(value)) if float(value).is_integer() else str(value)
 
 
 def _params_meta(params: PipelineParams) -> str:
     k = params.kernel
     min_size = params.min_component_size
-    return (f"sigma={k.sigma} length={k.length} x_limit={k.x_limit} "
-            f"orientations={k.n_orientations} "
+    return (f"sigma={_num(k.sigma)} length={_num(k.length)} "
+            f"x_limit={_num(k.x_limit)} orientations={k.n_orientations} "
             f"min_size={'auto' if min_size is None else min_size} "
-            f"otsu_scope={params.otsu_scope} gray={params.gray_mode}")
+            f"otsu_scope={params.otsu_scope}")
 
 
 class ThreadCountError(ValueError):
@@ -359,11 +360,11 @@ def cmd_eval(args) -> int:
         return evaluate_pair(result.vessel_map, gt, response=result.mfr_image,
                              scope=fov if scope_fov else None)
 
+    report_path = Path(args.report)
+    report_path.parent.mkdir(parents=True, exist_ok=True)
     rows, code = _run_entries(args, params, score, with_gt=True,
                               threads=threads)
     meta = _params_meta(params)
-    report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         _write_eval_json(report_path, rows, meta)
     else:
@@ -455,6 +456,8 @@ def cmd_sweep(args) -> int:
         grid_x = _grid(args.round1_x, "--round1-x", kernel, "x_limit")
         grid_sigma = _grid(args.round1_sigma, "--round1-sigma", kernel,
                            "sigma")
+    report_path = Path(args.report)
+    report_path.parent.mkdir(parents=True, exist_ok=True)
     manifest = discover_dataset(args.dataset_dir, args.layout)
     if len(manifest) == 0:
         print("error: sweep needs a non-empty dataset", file=sys.stderr)
@@ -471,8 +474,6 @@ def cmd_sweep(args) -> int:
     else:
         result = three_round_search(prepared, grid_x, grid_sigma)
 
-    report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["x_limit,sigma,L,mean_accuracy"]
     lines += [
         f"{x:.6g},{s:.6g},{length:.6g},{_fmt(acc, 6)}"
@@ -562,6 +563,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DatasetError, SweepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # An output path that cannot be created or written.
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -39,15 +39,8 @@ class MetricsReport:
     specificity: float | None
     accuracy: float | None
     rmsd: float | None
-    mad_seg: float | None
-    mad_gt: float | None
+    mad_diff: float | None           # |mad(seg) - mad(gt)|
     auc: float | None = None
-
-    @property
-    def mad_diff(self) -> float | None:
-        if self.mad_seg is None or self.mad_gt is None:
-            return None
-        return abs(self.mad_seg - self.mad_gt)
 
 
 def _in_scope(image, scope: BinaryImage | None) -> np.ndarray:
@@ -157,6 +150,8 @@ def evaluate_pair(seg: BinaryImage, gt: BinaryImage,
     ``scope``, when given, restricts every metric to its True pixels.
     """
     sens, spec, acc = basic_metrics(confusion(seg, gt, scope))
+    # One scope over two same-size maps: both mads are None or neither is.
+    mad_seg, mad_gt = mad(seg, scope=scope), mad(gt, scope=scope)
     area = None
     if response is not None:
         try:
@@ -168,7 +163,6 @@ def evaluate_pair(seg: BinaryImage, gt: BinaryImage,
         specificity=spec,
         accuracy=acc,
         rmsd=rmsd(seg, gt, scope),
-        mad_seg=mad(seg, scope=scope),
-        mad_gt=mad(gt, scope=scope),
+        mad_diff=None if mad_seg is None else abs(mad_seg - mad_gt),
         auc=area,
     )

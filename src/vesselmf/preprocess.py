@@ -77,13 +77,6 @@ def pca_grayscale(image: RgbImage) -> GrayImage:
     return GrayImage.from_array(gray.reshape(image.height, image.width))
 
 
-def luma_grayscale(image: RgbImage) -> GrayImage:
-    """Plain Rec.601 luma fallback, not part of the evaluated pipeline."""
-    rgb = image.data.astype(np.float64) / 255.0
-    luma = rgb @ np.array([0.299, 0.587, 0.114])
-    return GrayImage.from_array(luma)
-
-
 def _tile_mapping(bin_idx: np.ndarray, params: ClaheParams) -> np.ndarray:
     """Equalization lookup for one tile: clip, redistribute, cumulate."""
     hist = np.bincount(bin_idx.ravel(), minlength=params.bins).astype(np.float64)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .image import BinaryImage, GrayImage, RgbImage, check_same_size
 from .kernels import KernelBank, KernelParams
-from .preprocess import ClaheParams, clahe, luma_grayscale, pca_grayscale
+from .preprocess import ClaheParams, clahe, pca_grayscale
 from .response import max_response, normalize_response
 
 # DRIVE frame size; the small-component cutoff scales with image area
@@ -27,46 +27,11 @@ _REFERENCE_AREA = 565 * 584
 
 
 @dataclass
-class Histogram:
-    """256-level gray histogram of raw counts."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (256,):
-            raise ValueError(f"expected 256 bins, got shape {counts.shape}")
-        if counts.min() < 0:
-            raise ValueError("negative bin count")
-        if not counts.any():
-            raise ValueError("empty histogram")
-        self.counts = counts
-
-    @property
-    def total(self) -> int:
-        """Number of pixels counted."""
-        return int(self.counts.sum())
-
-
-@dataclass
 class ThresholdDiagnostics:
-    """Chosen level plus the class statistics behind it.
-
-    omega0/omega1 are the class probabilities at the chosen split, mu0/mu1
-    the class mean levels, mu_t the overall mean, sigma_b2 the between-class
-    variance at the split, sigma_t2 the total variance and eta their ratio.
-    ``degenerate`` marks single-level histograms where every split is empty
-    on one side.
-    """
+    """Chosen level and eta, the ratio of between-class to total variance
+    there; ``degenerate`` marks a single-level histogram, whose eta is 0."""
 
     k_star: int
-    omega0: float
-    omega1: float
-    mu0: float
-    mu1: float
-    mu_t: float
-    sigma_b2: float
-    sigma_t2: float
     eta: float
     degenerate: bool = False
 
@@ -84,15 +49,12 @@ class PipelineParams:
     clahe: ClaheParams = field(default_factory=ClaheParams)
     min_component_size: int | None = None
     otsu_scope: str = "full-image"   # or "fov-only"
-    gray_mode: str = "pca"           # "luma" is a CLI fallback, not evaluated
 
     def __post_init__(self):
         if self.min_component_size is not None and self.min_component_size < 0:
             raise ValueError("min_component_size must be non-negative")
         if self.otsu_scope not in ("full-image", "fov-only"):
             raise ValueError(f"unknown otsu_scope {self.otsu_scope!r}")
-        if self.gray_mode not in ("pca", "luma"):
-            raise ValueError(f"unknown gray_mode {self.gray_mode!r}")
 
 
 @dataclass
@@ -119,28 +81,26 @@ def default_min_component_size(width: int, height: int) -> int:
     return max(0, round(30 * (width * height) / _REFERENCE_AREA))
 
 
-def build_histogram(image: GrayImage, mask: BinaryImage | None = None) -> Histogram:
-    """Count quantized levels, optionally over mask-true pixels only."""
+def build_histogram(image: GrayImage, mask: BinaryImage | None = None) -> np.ndarray:
+    """Counts of the 256 quantized levels, optionally over mask-true pixels."""
     levels = image.levels
     if mask is not None:
         check_same_size(image, mask, "image and mask")
         levels = levels[mask.data]
         if levels.size == 0:
             raise ValueError("empty masked region: no pixels to count")
-    counts = np.bincount(levels.ravel(), minlength=256)
-    return Histogram(counts=counts)
+    return np.bincount(levels.ravel(), minlength=256)
 
 
-def otsu_curves(h: Histogram):
-    """Per-split class statistics for every candidate level k.
+def otsu_curves(counts: np.ndarray):
+    """Per-split class statistics of a 256-bin counts array, for every k.
 
     Returns (valid, omega0, mu0, mu1, sigma_b2) arrays of length 256, where
     ``valid[k]`` is True when both classes at split k are populated.  Splits
     put levels <= k in the background class and levels > k in the object
     class.
     """
-    counts = h.counts
-    total = h.total
+    total = int(counts.sum())
     levels = np.arange(256, dtype=np.int64)
 
     c0 = np.cumsum(counts)                     # pixels at or below k
@@ -151,9 +111,9 @@ def otsu_curves(h: Histogram):
     valid = (c0 > 0) & (c0 < total)
     omega0 = c0 / total
     omega1 = 1.0 - omega0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu0 = np.where(c0 > 0, s0 / np.maximum(c0, 1), 0.0)
-        mu1 = np.where(c0 < total, (s_total - s0) / np.maximum(total - c0, 1), 0.0)
+    # An empty class has no level mass, so its mean comes out 0.
+    mu0 = s0 / np.maximum(c0, 1)
+    mu1 = (s_total - s0) / np.maximum(total - c0, 1)
     sigma_b2 = np.where(
         valid,
         omega0 * (mu0 - mu_t) ** 2 + omega1 * (mu1 - mu_t) ** 2,
@@ -162,45 +122,24 @@ def otsu_curves(h: Histogram):
     return valid, omega0, mu0, mu1, sigma_b2
 
 
-def otsu_threshold(h: Histogram) -> ThresholdDiagnostics:
+def otsu_threshold(counts: np.ndarray) -> ThresholdDiagnostics:
     """Level maximizing between-class variance; ties break to the smallest k.
 
     Downstream binarization puts a pixel in the object class when its level
     is strictly above ``k_star``.
     """
-    counts = h.counts
-    total = h.total
-    levels = np.arange(256, dtype=np.float64)
-    p = counts / total
-    mu_t = float(levels @ p)
-    sigma_t2 = float(((levels - mu_t) ** 2) @ p)
-
-    valid, omega0, mu0, mu1, sigma_b2 = otsu_curves(h)
-
+    valid, _, _, _, sigma_b2 = otsu_curves(counts)
     if not valid.any():
         # Single populated level: no split separates anything.
-        k = int(np.flatnonzero(counts)[0])
-        return ThresholdDiagnostics(
-            k_star=k, omega0=1.0, omega1=0.0, mu0=float(k), mu1=0.0,
-            mu_t=mu_t, sigma_b2=0.0, sigma_t2=sigma_t2, eta=0.0,
-            degenerate=True,
-        )
+        return ThresholdDiagnostics(k_star=int(np.flatnonzero(counts)[0]),
+                                    eta=0.0, degenerate=True)
 
-    scored = np.where(valid, sigma_b2, -1.0)
-    k = int(np.argmax(scored))   # first maximum = smallest k
-    best = float(sigma_b2[k])
-    eta = best / sigma_t2 if sigma_t2 > 0 else 0.0
-    return ThresholdDiagnostics(
-        k_star=k,
-        omega0=float(omega0[k]),
-        omega1=float(1.0 - omega0[k]),
-        mu0=float(mu0[k]),
-        mu1=float(mu1[k]),
-        mu_t=mu_t,
-        sigma_b2=best,
-        sigma_t2=sigma_t2,
-        eta=float(eta),
-    )
+    k = int(np.argmax(np.where(valid, sigma_b2, -1.0)))
+    # Two populated levels at least, so the total variance is positive.
+    levels = np.arange(256, dtype=np.float64)
+    p = counts / counts.sum()
+    sigma_t2 = float(((levels - levels @ p) ** 2) @ p)
+    return ThresholdDiagnostics(k_star=k, eta=float(sigma_b2[k]) / sigma_t2)
 
 
 def binarize(image: GrayImage, k_star: int) -> BinaryImage:
@@ -296,10 +235,7 @@ def enhance_stages(rgb: RgbImage, fov: BinaryImage, params: PipelineParams,
     """The stages before the filter, 01_gray and 02_enhanced: returns the
     enhanced image.  Checks first that the FOV mask fits the image."""
     check_same_size(rgb, fov, "image and FOV mask")
-    if params.gray_mode == "luma":
-        gray = run_stage("grayscale", luma_grayscale, rgb)
-    else:
-        gray = run_stage("pca_grayscale", pca_grayscale, rgb)
+    gray = run_stage("pca_grayscale", pca_grayscale, rgb)
     if gray.degenerate:
         flags.add("pca_grayscale")
     on_stage("01_gray", gray)

@@ -20,7 +20,6 @@ from vesselmf import (
     BinaryImage,
     GrayImage,
     GridSpec,
-    Histogram,
     KernelParams,
     PipelineParams,
     auc,
@@ -64,7 +63,7 @@ def test_criterion_1_otsu_oracle_equivalence():
     hists[hists.sum(axis=1) == 0, 0] = 1
 
     ours = np.array([
-        otsu_threshold(Histogram(counts=h)).k_star
+        otsu_threshold(h).k_star
         for h in hists
     ])
 

@@ -198,6 +198,20 @@ class TestEvalCommand:
         assert main(args + ["--report", str(r2), "--threads", "2"]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_default_and_given_length_write_one_report(self, tmp_path):
+        """``--length 8`` is the default L; the header prints it alike."""
+        _make_drive_tree(tmp_path / "data", n=1, size=32)
+        args = ["eval", "--dataset-dir", str(tmp_path / "data"),
+                "--layout", "drive", "--orientations", "4"]
+        r1 = tmp_path / "a.csv"
+        r2 = tmp_path / "b.csv"
+        assert main(args + ["--report", str(r1)]) == 0
+        assert main(args + ["--report", str(r2), "--length", "8"]) == 0
+        assert r1.read_text().splitlines()[0] == (
+            "# vesselmf eval sigma=0.57 length=8 x_limit=6.99 orientations=4 "
+            "min_size=auto otsu_scope=full-image")
+        assert r1.read_bytes() == r2.read_bytes()
+
     def test_json_format(self, tmp_path):
         _make_drive_tree(tmp_path / "data", n=1)
         report = tmp_path / "report.json"
@@ -222,8 +236,8 @@ class TestEvalCommand:
         # partial results flushed; the header restates the run's settings
         # although no entry succeeded
         assert report.read_text().splitlines() == [
-            "# vesselmf eval sigma=1.5 length=9.0 x_limit=6.99 orientations=4 "
-            "min_size=6 otsu_scope=full-image gray=pca",
+            "# vesselmf eval sigma=1.5 length=9 x_limit=6.99 orientations=4 "
+            "min_size=6 otsu_scope=full-image",
             "image,specificity,sensitivity,accuracy,rmsd,mad_diff,auc"]
 
     @pytest.mark.parametrize("command,out_flag,out,report", [
@@ -264,7 +278,7 @@ class TestEvalCommand:
                      "--layout", "drive", "--report", str(report),
                      "--config", str(config), "--sigma", "2.0"])
         assert code == 0
-        assert "sigma=2.0" in report.read_text().splitlines()[0]
+        assert "sigma=2 " in report.read_text().splitlines()[0]
 
 
 class TestRocCommand:
@@ -665,7 +679,7 @@ def test_nan_sigma_config_line_exits_2(tmp_path, capsys):
 SETTING_VALUES = {
     "sigma": ("1.5", "2.5"), "length": ("9", "11"), "x-limit": ("5", "4"),
     "orientations": ("6", "8"), "min-size": ("7", "9"),
-    "otsu-scope": ("fov-only", "full-image"), "gray": ("luma", "pca"),
+    "otsu-scope": ("fov-only", "full-image"),
     "clahe-tiles": ("4", "2"), "clahe-clip": ("0.02", "0.05"),
     "clahe-bins": ("128", "64"),
 }
@@ -686,6 +700,28 @@ def test_flag_and_config_line_resolve_alike(tmp_path, key):
     assert resolve("--config", str(config)) == by_flag
     overridden = resolve("--config", str(config), f"--{key}", other)
     assert overridden == resolve(f"--{key}", other) != by_flag
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("segment", ["--out", "F"]),
+    ("roc", ["--out", "F"]),
+    ("kernel", ["dump", "--out", "F"]),
+    ("eval", ["--report", "F/r.csv"]),
+    ("sweep", ["--report", "F/r.csv", "--l-grid", "7:7"]),
+], ids=["segment", "roc", "kernel", "eval", "sweep"])
+def test_output_path_that_cannot_be_created_exits_2(
+        tmp_path, monkeypatch, capsys, command, argv):
+    """An existing file F where the output directory goes is a one-line
+    error, raised before any image is loaded."""
+    _make_drive_tree(tmp_path / "data", n=1, size=32)
+    (tmp_path / "F").write_text("")
+    monkeypatch.chdir(tmp_path)
+    loads = _count_calls(monkeypatch, vesselmf.cli, "_load_entry")
+    dataset = [] if command == "kernel" else [
+        "--dataset-dir", str(tmp_path / "data"), "--layout", "drive"]
+    assert main([command, *argv, *dataset]) == 2
+    assert loads == []
+    assert capsys.readouterr().err == "error: F: File exists\n"
 
 
 def test_one_thread_runs_the_pipeline_on_the_calling_thread(

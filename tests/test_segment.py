@@ -7,7 +7,6 @@ import vesselmf.segment
 from vesselmf import (
     BinaryImage,
     GrayImage,
-    Histogram,
     KernelParams,
     PipelineParams,
     PipelineStageError,
@@ -79,28 +78,36 @@ def flood_fill_components(data: np.ndarray):
     return labels, sizes
 
 
+def _total_variance(counts):
+    """Variance of the level distribution, straight from the counts."""
+    levels = np.arange(256.0)
+    p = counts / counts.sum()
+    return ((levels - levels @ p) ** 2) @ p
+
+
 class TestHistogram:
     def test_all_zero_pixels(self):
         h = build_histogram(GrayImage.from_array(np.zeros((2, 2))))
-        assert h.counts[0] == 4
-        assert h.total == 4
+        assert h.shape == (256,)
+        assert h[0] == 4
+        assert h.sum() == 4
 
     def test_extremes(self):
         h = build_histogram(GrayImage.from_array(np.array([[0.0, 1.0]])))
-        assert h.counts[0] == 1
-        assert h.counts[255] == 1
+        assert h[0] == 1
+        assert h[255] == 1
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
         h = build_histogram(GrayImage.from_array(rng.random((13, 9))))
-        assert (h.counts / h.total).sum() == pytest.approx(1.0, abs=1e-12)
+        assert (h / h.sum()).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_masked_counting(self):
         img = GrayImage.from_array(np.array([[0.0, 1.0]]))
         mask = BinaryImage.from_array(np.array([[True, False]]))
         h = build_histogram(img, mask)
-        assert h.total == 1
-        assert h.counts[0] == 1
+        assert h.sum() == 1
+        assert h[0] == 1
 
     def test_empty_mask_rejected(self):
         img = GrayImage.from_array(np.zeros((2, 2)))
@@ -114,7 +121,7 @@ class TestOtsu:
         counts = np.zeros(256, dtype=int)
         counts[50] = 10
         counts[200] = 10
-        diag = otsu_threshold(Histogram(counts=counts))
+        diag = otsu_threshold(counts)
         assert diag.k_star == 50
         assert diag.eta == pytest.approx(1.0, abs=1e-12)
 
@@ -124,25 +131,25 @@ class TestOtsu:
             counts = rng.integers(0, 1001, 256)
             if counts.sum() == 0:
                 counts[0] = 1
-            h = Histogram(counts=counts)
-            assert otsu_threshold(h).k_star == brute_force_otsu(counts)
+            assert otsu_threshold(counts).k_star == brute_force_otsu(counts)
 
     def test_single_bin_degenerate(self):
         counts = np.zeros(256, dtype=int)
         counts[42] = 7
-        diag = otsu_threshold(Histogram(counts=counts))
+        valid, _, _, _, sigma_b2 = otsu_curves(counts)
+        assert not valid.any()
+        assert not sigma_b2.any()
+        diag = otsu_threshold(counts)
         assert diag.degenerate
         assert diag.k_star == 42
-        assert diag.sigma_b2 == 0.0
+        assert diag.eta == 0.0
 
     def test_mixture_identities_every_split(self):
         rng = np.random.default_rng(7)
         counts = rng.integers(0, 50, 256)
-        h = Histogram(counts=counts)
-        valid, omega0, mu0, mu1, sigma_b2 = otsu_curves(h)
+        valid, omega0, mu0, mu1, sigma_b2 = otsu_curves(counts)
         levels = np.arange(256.0)
-        p = counts / h.total
-        mu_t = levels @ p
+        mu_t = levels @ (counts / counts.sum())
         for k in np.flatnonzero(valid):
             w0, w1 = omega0[k], 1.0 - omega0[k]
             assert w0 + w1 == pytest.approx(1.0, abs=1e-12)
@@ -155,28 +162,29 @@ class TestOtsu:
             counts[counts < 150] = 0   # sparse histograms too
             if np.count_nonzero(counts) < 2:
                 counts[[10, 200]] = 5
-            h = Histogram(counts=counts)
-            _, _, _, _, sigma_b2 = otsu_curves(h)
-            diag = otsu_threshold(h)
-            eta_curve = sigma_b2 / diag.sigma_t2
+            _, _, _, _, sigma_b2 = otsu_curves(counts)
+            eta_curve = sigma_b2 / _total_variance(counts)
+            diag = otsu_threshold(counts)
             assert int(np.argmax(eta_curve)) == int(np.argmax(sigma_b2))
             assert diag.k_star == int(np.argmax(sigma_b2))
+            assert diag.eta == pytest.approx(eta_curve[diag.k_star], rel=1e-12)
 
     def test_variance_decomposition(self):
-        # total variance = between-class + weighted within-class variance,
-        # the within-class variances taken straight from the counts
+        # total variance = between-class + weighted within-class variance at
+        # every split, the within-class variances taken straight from the
+        # counts
         rng = np.random.default_rng(9)
         counts = rng.integers(0, 100, 256)
-        h = Histogram(counts=counts)
-        diag = otsu_threshold(h)
+        valid, _, _, _, sigma_b2 = otsu_curves(counts)
+        sigma_t2 = _total_variance(counts)
         levels = np.arange(256, dtype=np.float64)
-        k = diag.k_star
-        within = 0.0
-        for part in (slice(0, k + 1), slice(k + 1, 256)):
-            w = counts[part].astype(np.float64)
-            mean = levels[part] @ w / w.sum()
-            within += ((levels[part] - mean) ** 2 @ w) / h.total
-        assert diag.sigma_b2 + within == pytest.approx(diag.sigma_t2, rel=1e-9)
+        for k in np.flatnonzero(valid):
+            within = 0.0
+            for part in (slice(0, k + 1), slice(k + 1, 256)):
+                w = counts[part].astype(np.float64)
+                mean = levels[part] @ w / w.sum()
+                within += ((levels[part] - mean) ** 2 @ w) / counts.sum()
+            assert sigma_b2[k] + within == pytest.approx(sigma_t2, rel=1e-9)
 
 
 def test_levels_are_the_uint8_quantization_kept_after_first_use():

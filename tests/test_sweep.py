@@ -354,9 +354,7 @@ def _mixed_size_set():
     PipelineParams(kernel=KernelParams(sigma=2.0, length=9, x_limit=5.0,
                                        n_orientations=4),
                    min_component_size=5, otsu_scope="fov-only"),
-    PipelineParams(kernel=KernelParams(sigma=0.8, length=5, n_orientations=8),
-                   min_component_size=8, gray_mode="luma"),
-], ids=["pca", "fov-only", "luma"])
+], ids=["pca", "fov-only"])
 def test_prepared_combo_equals_per_image_pipeline(params, monkeypatch):
     dataset = _mixed_size_set()
     bank = build_bank(params.kernel)
