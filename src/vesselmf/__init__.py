@@ -7,7 +7,6 @@ from .kernels import (
     KernelConstructionError,
     KernelParams,
     build_bank,
-    build_kernel,
     gaussian_profile,
     kernel_at_angle,
 )
@@ -44,7 +43,6 @@ from .sweep import (
     SweepError,
     evaluate_combo,
     length_search,
-    prepare,
     three_round_search,
 )
 

@@ -357,8 +357,9 @@ def cmd_eval(args) -> int:
     scope_fov = args.metrics_scope == "fov"
 
     def score(entry_id, result, fov, gt):
-        return evaluate_pair(result.vessel_map, gt, response=result.mfr_image,
-                             scope=fov if scope_fov else None)
+        report = evaluate_pair(result.vessel_map, gt, response=result.mfr_image,
+                               scope=fov if scope_fov else None)
+        return tuple(getattr(report, c) for c in _EVAL_COLUMNS[1:])
 
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -368,7 +369,8 @@ def cmd_eval(args) -> int:
     if args.format == "json":
         _write_eval_json(report_path, rows, meta)
     else:
-        _write_eval_csv(report_path, rows, meta)
+        _write_csv(report_path, f"# vesselmf eval {meta}", _EVAL_COLUMNS,
+                   rows)
     return code
 
 
@@ -381,25 +383,26 @@ _EVAL_COLUMNS = ("image", "specificity", "sensitivity", "accuracy", "rmsd",
                  "mad_diff", "auc")
 
 
-def _eval_table(rows):
-    table = [(name, *(getattr(r, c) for c in _EVAL_COLUMNS[1:]))
-             for name, r in rows]
+def _table(rows):
+    """The (name, values) rows as (name, *values), then the Average of each
+    value column; no Average row for no rows."""
+    table = [(name, *values) for name, values in rows]
     if table:
-        cols = list(zip(*[row[1:] for row in table]))
-        table.append(("Average",) + tuple(_average(c) for c in cols))
+        table.append(("Average",) + tuple(
+            _average(c) for c in zip(*(values for _, values in rows))))
     return table
 
 
-def _write_eval_csv(path: Path, rows, meta: str):
-    lines = [f"# vesselmf eval {meta}", ",".join(_EVAL_COLUMNS)]
-    for name, *vals in _eval_table(rows):
-        lines.append(",".join([name] + [_fmt(v) for v in vals]))
+def _write_csv(path: Path, header: str, columns, rows):
+    lines = [header, ",".join(columns)]
+    lines += [",".join([name] + [_fmt(v) for v in values])
+              for name, *values in _table(rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_eval_json(path: Path, rows, meta: str):
     payload = {"meta": meta, "rows": [dict(zip(_EVAL_COLUMNS, row))
-                                      for row in _eval_table(rows)]}
+                                      for row in _table(rows)]}
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
@@ -415,14 +418,11 @@ def cmd_roc(args) -> int:
         ]
         (out_dir / f"{entry_id}_roc.csv").write_text(
             "\n".join(curve_lines) + "\n")
-        return auc(points)
+        return (auc(points),)
 
     done, code = _run_entries(args, params, write_curve, with_gt=True)
-    lines = [f"# vesselmf roc {_params_meta(params)}", "image,auc"]
-    lines += [f"{name},{_fmt(a)}" for name, a in done]
-    if done:
-        lines.append(f"Average,{_fmt(_average([a for _, a in done]))}")
-    (out_dir / "roc_summary.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "roc_summary.csv",
+               f"# vesselmf roc {_params_meta(params)}", ("image", "auc"), done)
     return code
 
 
@@ -458,17 +458,14 @@ def cmd_sweep(args) -> int:
                            "sigma")
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest = discover_dataset(args.dataset_dir, args.layout)
-    if len(manifest) == 0:
-        print("error: sweep needs a non-empty dataset", file=sys.stderr)
-        return 2
-    prepared = PreparedDataset(base=params, images=[])
-    for entry in manifest:
+    images = []
+    for entry in discover_dataset(args.dataset_dir, args.layout):
         try:
             image, fov, gt = _load_entry(entry, with_gt=True)
-            prepared.images.append(prepare_image(image, fov, gt, params))
+            images.append(prepare_image(image, fov, gt, params))
         except Exception as exc:
             raise DatasetError(f"{entry.id}: {exc}") from exc
+    prepared = PreparedDataset(params, images)
     if args.l_grid:
         result = length_search(prepared, grid_l.values())
     else:

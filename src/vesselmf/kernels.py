@@ -59,6 +59,13 @@ class KernelParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be finite, got {getattr(self, name)}")
+        # 2 sigma^2 and x^2 / (2 sigma^2) out to the grid's corner cell must
+        # be finite floats, or the weights come out NaN (or sigma**2 raises)
+        corner = (self.grid_cols // 2) ** 2 + (self.grid_rows // 2) ** 2
+        twice_var = 2.0 * self.sigma * self.sigma
+        if not corner / np.finfo(np.float64).max < twice_var < math.inf:
+            raise ValueError(f"sigma {self.sigma:g} is out of range for the "
+                             f"{self.grid_cols}x{self.grid_rows} kernel grid")
         if not 1 <= self.n_orientations <= MAX_ORIENTATIONS:
             raise ValueError(
                 f"n_orientations must be in 1..{MAX_ORIENTATIONS}, "
@@ -89,9 +96,6 @@ class KernelBank:
         if not self.kernels:
             raise KernelConstructionError(
                 f"empty kernel bank for {self.params}")
-
-    def __len__(self):
-        return len(self.kernels)
 
 
 def gaussian_profile(x, sigma: float):
@@ -154,20 +158,8 @@ def kernel_at_angle(params: KernelParams, theta_degrees: float) -> Kernel:
     return Kernel(theta=float(theta_degrees), weights=weights, support=support)
 
 
-def build_kernel(params: KernelParams, orientation_index: int) -> Kernel:
-    """Kernel for orientation ``index * 180 / n_orientations`` degrees."""
-    if not 0 <= orientation_index < params.n_orientations:
-        raise ValueError(
-            f"orientation_index {orientation_index} outside "
-            f"[0, {params.n_orientations})"
-        )
-    theta = orientation_index * (180.0 / params.n_orientations)
-    return kernel_at_angle(params, theta)
-
-
 def build_bank(params: KernelParams) -> KernelBank:
     """All ``n_orientations`` kernels, 0 degrees upward in equal steps."""
-    kernels = tuple(
-        build_kernel(params, i) for i in range(params.n_orientations)
-    )
-    return KernelBank(params=params, kernels=kernels)
+    return KernelBank(params=params, kernels=tuple(
+        kernel_at_angle(params, i * (180.0 / params.n_orientations))
+        for i in range(params.n_orientations)))

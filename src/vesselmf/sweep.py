@@ -9,8 +9,9 @@ gets its own one-dimensional integer scan.
 The searched values (x_limit, sigma, length) change only the kernel bank,
 so the searches take a ``PreparedDataset``: per image, ``prepare_image``
 runs the gray conversion, CLAHE (``segment.enhance_stages``) and the padded
-image spectrum once, and library use is
-``three_round_search(prepare(dataset, base), rx, rs)``.  Per combination
+image spectrum once.  Library use is ``three_round_search(prepared, rx,
+rs)`` on ``prepared = PreparedDataset(base, [prepare_image(image, fov, gt,
+base) for image, fov, gt in dataset])``.  Per combination
 the search builds the bank from the base's kernel with the searched values;
 ``evaluate_combo(prepared, bank)`` scores each distinct bank once under the
 base's settings, taking its conjugate kernel spectra once per transform
@@ -89,17 +90,21 @@ class SweepResult:
 class PreparedDataset:
     """What no searched parameter changes, computed once per search.
 
-    ``images`` holds one (ImageSpectrum, fov, gt) triple per dataset image,
-    in dataset order.  ``base`` holds the settings the spectra were built
-    with (gray mode, CLAHE, kernel grid), the settings every bank is scored
-    under (Otsu scope, component size; an unset size follows each image's
-    area, as in ``run_pipeline``), and the values a search holds fixed: the
-    length of ``three_round_search``, the x_limit and sigma of
+    ``images`` holds one ``prepare_image`` triple per dataset image, in
+    dataset order, and may not be empty.  ``base`` holds the settings the
+    spectra were built with (CLAHE, kernel grid), the settings every bank is
+    scored under (Otsu scope, component size; an unset size follows each
+    image's area, as in ``run_pipeline``), and the values a search holds
+    fixed: the length of ``three_round_search``, the x_limit and sigma of
     ``length_search``.
     """
 
     base: PipelineParams
     images: list
+
+    def __post_init__(self):
+        if not self.images:
+            raise SweepError("sweep needs a non-empty dataset")
 
 
 def prepare_image(image, fov, gt, base: PipelineParams):
@@ -110,23 +115,6 @@ def prepare_image(image, fov, gt, base: PipelineParams):
     spectrum = run_stage("max_response", image_spectrum, enhanced,
                          (base.kernel.grid_rows, base.kernel.grid_cols))
     return spectrum, fov, gt
-
-
-def prepare(dataset, base: PipelineParams) -> PreparedDataset:
-    """``prepare_image`` of each (image, fov, gt) in the dataset.
-
-    A bad image fails here, once, with its index, before any combination
-    is evaluated.
-    """
-    if not dataset:
-        raise SweepError("empty dataset")
-    images = []
-    for index, (image, fov, gt) in enumerate(dataset):
-        try:
-            images.append(prepare_image(image, fov, gt, base))
-        except Exception as exc:
-            raise SweepError(f"image #{index} failed: {exc}") from exc
-    return PreparedDataset(base=base, images=images)
 
 
 def evaluate_combo(prepared: PreparedDataset, bank: KernelBank) -> float:

@@ -25,7 +25,6 @@ from vesselmf import (
     auc,
     basic_metrics,
     build_bank,
-    build_kernel,
     confusion,
     evaluate_combo,
     evaluate_pair,
@@ -33,7 +32,6 @@ from vesselmf import (
     kernel_at_angle,
     length_filter,
     otsu_threshold,
-    prepare,
     rmsd,
     roc_curve,
     run_pipeline,
@@ -41,7 +39,7 @@ from vesselmf import (
     write_pnm,
 )
 from vesselmf import cli
-from vesselmf.sweep import _window
+from vesselmf.sweep import PreparedDataset, _window, prepare_image
 
 from test_response import correlate, naive_convolve
 from test_segment import flood_fill_components
@@ -101,8 +99,7 @@ def test_criterion_2_kernel_zero_sum_and_half_turn():
     worst_shift = 0.0
     for sigma, length in ((0.57, 8), (1.57, 9)):
         params = KernelParams(sigma=sigma, length=length)
-        for i in range(params.n_orientations):
-            kernel = build_kernel(params, i)
+        for kernel in build_bank(params).kernels:
             worst_sum = max(worst_sum, abs(kernel.weights.sum()))
             shifted = kernel_at_angle(params, kernel.theta + 180.0)
             worst_shift = max(
@@ -309,7 +306,8 @@ def test_criterion_9_sweep_shape():
     )
     rx = GridSpec(5.0, 9.0, 2.0)
     rs = GridSpec(0.5, 3.0, 0.5)
-    prepared = prepare(dataset, base)
+    prepared = PreparedDataset(base, [prepare_image(image, fov, gt, base)
+                                      for image, fov, gt in dataset])
     result = three_round_search(prepared, rx, rs)
 
     # predicted per-round evaluation counts via the same inclusive-endpoint

@@ -614,6 +614,8 @@ def test_bad_sweep_grid_exits_2_before_any_image_is_read(
      "--round1-sigma: sigma must be positive, got -1"),
     (["--l-grid", "0:5"], "--l-grid: length must be at least 1, got 0"),
     (["--l-grid=-3:-1"], "--l-grid: length must be at least 1, got -3"),
+    (["--round1-sigma", "1e-200:1:0.5"],
+     "--round1-sigma: sigma 1e-200 is out of range for the 15x17 kernel grid"),
     (["--orientations", "181"], "n_orientations must be in 1..180, got 181"),
 ])
 def test_sweep_outside_the_kernel_domain_exits_2_before_any_image_is_read(
@@ -635,6 +637,31 @@ def test_kernel_dump_of_too_many_orientations_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: n_orientations must be in 1..180, got 2000\n")
     assert not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e-200", "1e+200"])
+def test_kernel_dump_of_an_unformable_sigma_writes_nothing(tmp_path, capsys,
+                                                          sigma):
+    """At 1e-200, 2 sigma^2 underflows to 0 and the weights would be NaN; at
+    1e200, sigma**2 raises OverflowError."""
+    code = main(["kernel", "dump", "--out", str(tmp_path / "k"),
+                 "--sigma", sigma])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: sigma {sigma} is out of range for the 15x17 kernel grid\n")
+    assert not (tmp_path / "k").exists()
+
+
+def test_sweep_of_an_empty_dataset_exits_2(tmp_path, capsys):
+    listing = tmp_path / "manifest.csv"
+    listing.write_text("# no entries\n")
+    code = main(["sweep", "--dataset-dir", str(listing), "--layout", "flat",
+                 "--report", str(tmp_path / "s.csv"), "--l-grid", "7:7"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"warning: empty manifest {listing}\n"
+        "error: sweep needs a non-empty dataset\n")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_default_sweep_logs_unbuildable_banks_as_na(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from vesselmf import (
     KernelConstructionError,
     KernelParams,
     build_bank,
-    build_kernel,
     gaussian_profile,
     kernel_at_angle,
 )
@@ -48,7 +48,7 @@ class TestGaussianProfile:
 
 class TestKernelConstruction:
     def test_support_at_theta_zero_drive(self):
-        k = build_kernel(DRIVE, 0)
+        k = build_bank(DRIVE).kernels[0]
         rows, cols = k.support.shape
         assert (rows, cols) == (17, 15)
         uu = np.arange(cols) - cols // 2
@@ -57,7 +57,7 @@ class TestKernelConstruction:
         assert np.array_equal(k.support, expected)
 
     def test_center_column_below_extreme_columns(self):
-        k = build_kernel(DRIVE, 0)
+        k = build_bank(DRIVE).kernels[0]
         mid_row = k.weights[8]
         assert mid_row[7] < mid_row[1]
         assert mid_row[7] < mid_row[13]
@@ -82,12 +82,12 @@ class TestKernelConstruction:
         assert np.all(np.abs(ours - ref) <= tol)
 
     def test_evenness_at_theta_zero(self):
-        k = build_kernel(STARE, 0)
+        k = build_bank(STARE).kernels[0]
         assert np.array_equal(k.weights, k.weights[:, ::-1])
         assert np.array_equal(k.weights, k.weights[::-1, :])
 
     def test_weight_nondecreasing_in_abs_x(self):
-        k = build_kernel(DRIVE, 0)
+        k = build_bank(DRIVE).kernels[0]
         row = k.weights[8]
         sup = k.support[8]
         xs = np.abs(np.arange(15) - 7)[sup]
@@ -101,8 +101,7 @@ class TestKernelConstruction:
 
     def test_half_turn_periodicity(self):
         for params in (DRIVE, STARE):
-            for i in range(params.n_orientations):
-                base = build_kernel(params, i)
+            for base in build_bank(params).kernels:
                 shifted = kernel_at_angle(params, base.theta + 180.0)
                 assert np.abs(shifted.weights - base.weights).max() <= 1e-12
 
@@ -117,19 +116,13 @@ class TestKernelConstruction:
 class TestBank:
     def test_default_bank_angles(self):
         bank = build_bank(DRIVE)
-        assert len(bank) == 12
+        assert len(bank.kernels) == 12
         assert [k.theta for k in bank.kernels] == [15.0 * i for i in range(12)]
 
     def test_single_orientation(self):
         bank = build_bank(KernelParams(sigma=1.0, length=5, n_orientations=1))
-        assert len(bank) == 1
+        assert len(bank.kernels) == 1
         assert bank.kernels[0].theta == 0.0
-
-    def test_orientation_index_bounds(self):
-        with pytest.raises(ValueError):
-            build_kernel(DRIVE, 12)
-        with pytest.raises(ValueError):
-            build_kernel(DRIVE, -1)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -152,6 +145,28 @@ class TestBank:
             KernelParams(**kwargs)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("sigma,cols,rows", [
+        (1e-200, 15, 17),   # 2 sigma^2 underflows to 0: NaN weights
+        (1e-160, 15, 17),   # x^2 / (2 sigma^2) overflows
+        (6e-154, 31, 33),   # fine on 15x17, overflows at this grid's corner
+        (1e154, 15, 17),    # 2 sigma^2 overflows
+        (1e200, 15, 17),    # sigma**2 raises OverflowError
+    ])
+    def test_sigma_out_of_range_for_its_grid_rejected(self, sigma, cols, rows):
+        with pytest.raises(ValueError) as err:
+            KernelParams(sigma=sigma, length=8.0, grid_cols=cols,
+                         grid_rows=rows)
+        assert str(err.value) == (
+            f"sigma {sigma:g} is out of range for the {cols}x{rows} kernel grid")
+
+    @pytest.mark.parametrize("sigma", [1.2e-153, 6e-154])
+    def test_smallest_accepted_sigmas_build_finite_weights(self, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bank = build_bank(KernelParams(sigma=sigma, length=8.0))
+        for k in bank.kernels:
+            assert np.isfinite(k.weights).all()
+
     @pytest.mark.parametrize("field,value,message", [
         ("length", 0, "length must be at least 1, got 0"),
         ("x_limit", -0.5, "x_limit must be positive, got -0.5"),
@@ -172,8 +187,9 @@ class TestBank:
             KernelBank(DRIVE, ())
 
     def test_one_degree_steps_are_the_finest_bank(self):
-        assert len(build_bank(KernelParams(sigma=1.0, length=8,
-                                           n_orientations=180))) == 180
+        bank = build_bank(KernelParams(sigma=1.0, length=8,
+                                       n_orientations=180))
+        assert len(bank.kernels) == 180
 
 
 class TestRotatedGridCache:

@@ -7,7 +7,6 @@ from vesselmf import (
     GrayImage,
     KernelParams,
     build_bank,
-    build_kernel,
     max_response,
     normalize_response,
 )
@@ -60,7 +59,8 @@ class TestConvolve:
     def test_matches_naive_oracle_including_borders(self):
         rng = np.random.default_rng(42)
         img = GrayImage.from_array(rng.random((32, 32)))
-        kernel = build_kernel(KernelParams(sigma=1.2, length=9), 3)  # 45 deg
+        bank = build_bank(KernelParams(sigma=1.2, length=9))
+        kernel = bank.kernels[3]   # 45 deg
         fast = correlate(img, kernel)
         assert np.abs(fast - naive_convolve(img, kernel)).max() <= 1e-9
 

@@ -19,13 +19,19 @@ from vesselmf import (
     evaluate_combo,
     generate_phantom,
     length_search,
-    prepare,
     run_pipeline,
     three_round_search,
 )
-from vesselmf.sweep import MAX_GRID_VALUES, _scorer, _window
+from vesselmf.sweep import (MAX_GRID_VALUES, PreparedDataset, _scorer,
+                            _window, prepare_image)
 
 from test_cli import _count_calls
+
+
+def _prepared(dataset, base):
+    """The PreparedDataset of (image, fov, gt) triples at ``base``."""
+    return PreparedDataset(base, [prepare_image(image, fov, gt, base)
+                                  for image, fov, gt in dataset])
 
 
 def _bank(base, x_limit, sigma, length):
@@ -94,7 +100,7 @@ class TestEvaluateCombo:
     def test_single_image_mean(self, small_dataset, base_params):
         one = small_dataset[:1]
         bank = build_bank(base_params.kernel)
-        mean = evaluate_combo(prepare(one, base_params), bank)
+        mean = evaluate_combo(_prepared(one, base_params), bank)
         image, fov, gt = one[0]
         result = run_pipeline(image, fov, base_params, bank)
         _, _, acc = basic_metrics(confusion(result.vessel_map, gt))
@@ -103,34 +109,38 @@ class TestEvaluateCombo:
     def test_duplicated_image_same_mean(self, small_dataset, base_params):
         one = small_dataset[:1]
         bank = build_bank(base_params.kernel)
-        assert evaluate_combo(prepare(one * 3, base_params),
+        assert evaluate_combo(_prepared(one * 3, base_params),
                               bank) == pytest.approx(
-            evaluate_combo(prepare(one, base_params), bank), abs=1e-12)
+            evaluate_combo(_prepared(one, base_params), bank), abs=1e-12)
 
     def test_matched_scale_beats_oversized(self, small_dataset, base_params):
         # phantom vessels have a 1.5 px profile; a 5 px kernel is mismatched
-        prepared = prepare(small_dataset, base_params)
+        prepared = _prepared(small_dataset, base_params)
         good = evaluate_combo(prepared, _bank(base_params, 7.0, 1.5, 7))
         bad = evaluate_combo(prepared, _bank(base_params, 7.0, 5.0, 7))
         assert good >= bad
 
     def test_empty_dataset_rejected(self, base_params):
-        with pytest.raises(SweepError):
-            evaluate_combo(prepare([], base_params),
-                           build_bank(base_params.kernel))
+        with pytest.raises(SweepError) as err:
+            PreparedDataset(base_params, [])
+        assert str(err.value) == "sweep needs a non-empty dataset"
 
     def test_failure_names_image(self, small_dataset, base_params):
-        image, fov, _ = small_dataset[0]
-        broken = [(image, fov, None)]   # no ground truth to score against
+        prepared = _prepared(small_dataset, base_params)
+        spectrum, fov, gt = prepared.images[1]
+        # a hand-built entry whose ground truth has another size
+        prepared.images[1] = (spectrum, fov,
+                              BinaryImage.from_array(gt.data[:-1]))
         with pytest.raises(SweepError) as err:
-            evaluate_combo(prepare(broken, base_params),
-                           build_bank(base_params.kernel))
-        assert "image #0" in str(err.value)
+            evaluate_combo(prepared, build_bank(base_params.kernel))
+        assert str(err.value) == (
+            "combo x=6.99 sigma=1.0 L=7: image #1 failed: segmentation and "
+            "ground truth differ in size: 48x48 vs 48x47")
 
 
 class TestThreeRoundSearch:
     def test_degenerate_single_point_grids(self, small_dataset, base_params):
-        res = three_round_search(prepare(small_dataset, base_params),
+        res = three_round_search(_prepared(small_dataset, base_params),
                                  GridSpec(7.0, 7.0, 1.0),
                                  GridSpec(1.2, 1.2, 1.0))
         # every round's window clamps to the single-point bounds
@@ -141,13 +151,13 @@ class TestThreeRoundSearch:
     def test_no_buildable_bank_is_an_error(self, small_dataset, base_params):
         # x_limit 0.5 leaves one support column: a flat profile
         with pytest.raises(SweepError) as err:
-            three_round_search(prepare(small_dataset, base_params),
+            three_round_search(_prepared(small_dataset, base_params),
                                GridSpec(0.5, 0.5, 1.0), GridSpec(1.0, 2.0, 1.0))
         assert str(err.value) == ("none of 2 combinations has a kernel bank "
                                   "that can be built")
 
     def test_rounds_never_regress(self, small_dataset, base_params):
-        res = three_round_search(prepare(small_dataset, base_params),
+        res = three_round_search(_prepared(small_dataset, base_params),
                                  GridSpec(5.0, 9.0, 2.0),
                                  GridSpec(0.5, 2.5, 1.0))
         accs = [rb[3] for rb in res.round_bests]
@@ -159,7 +169,7 @@ class TestThreeRoundSearch:
                                                 base_params):
         rx = GridSpec(5.0, 9.0, 2.0)
         rs = GridSpec(0.5, 2.5, 1.0)
-        res = three_round_search(prepare(small_dataset, base_params), rx, rs)
+        res = three_round_search(_prepared(small_dataset, base_params), rx, rs)
         n1 = len(rx.values()) * len(rs.values())
         bx, bs = res.round_bests[0][:2]
         n2 = (len(_window(bx, 0.5, 0.1, rx.lo, rx.hi).values())
@@ -171,20 +181,20 @@ class TestThreeRoundSearch:
 
     def test_order_invariant(self, small_dataset, base_params):
         grids = (GridSpec(7.0, 9.0, 2.0), GridSpec(0.8, 1.8, 0.5))
-        a = three_round_search(prepare(small_dataset, base_params), *grids)
+        a = three_round_search(_prepared(small_dataset, base_params), *grids)
         b = three_round_search(
-            prepare(list(reversed(small_dataset)), base_params), *grids)
+            _prepared(list(reversed(small_dataset)), base_params), *grids)
         assert a.best == b.best
 
 
 class TestLengthSearch:
     def test_single_length(self, small_dataset, base_params):
-        res = length_search(prepare(small_dataset, base_params), [5])
+        res = length_search(_prepared(small_dataset, base_params), [5])
         assert res.best[2] == 5.0
         assert len(res.evaluations) == 1
 
     def test_longer_beats_unit_length(self, small_dataset, base_params):
-        res = length_search(prepare(small_dataset, base_params), [1, 9])
+        res = length_search(_prepared(small_dataset, base_params), [1, 9])
         by_length = {e[2]: e[3] for e in res.evaluations}
         assert by_length[9.0] >= by_length[1.0]
 
@@ -195,14 +205,14 @@ class TestLengthSearch:
                                    fov_radius=19)
         gt = phantom.vessels
         res = length_search(
-            prepare([(phantom.rgb, phantom.fov, gt)], base_params), [3, 5, 7])
+            _prepared([(phantom.rgb, phantom.fov, gt)], base_params), [3, 5, 7])
         accs = {e[3] for e in res.evaluations}
         assert len(accs) == 1
         assert res.best[2] == 3.0
 
     def test_empty_grid_rejected(self, small_dataset, base_params):
         with pytest.raises(SweepError):
-            length_search(prepare(small_dataset, base_params), [])
+            length_search(_prepared(small_dataset, base_params), [])
 
 
 def _criterion_9_set():
@@ -245,7 +255,7 @@ def criterion_9_run():
             "kernel_rfft2": _count_kernel_transforms(
                 mp, (base.kernel.grid_rows, base.kernel.grid_cols)),
         }
-        result = three_round_search(prepare(_criterion_9_set(), base),
+        result = three_round_search(_prepared(_criterion_9_set(), base),
                                     GridSpec(5.0, 9.0, 2.0),
                                     GridSpec(0.5, 3.0, 0.5))
     return result, counts
@@ -280,7 +290,7 @@ class TestPreparedSearch:
     def test_every_log_entry_equals_a_fresh_evaluation(self, criterion_9_run):
         result, _ = criterion_9_run
         base = _criterion_9_base()
-        prepared = prepare(_criterion_9_set(), base)
+        prepared = _prepared(_criterion_9_set(), base)
         fresh = {}
         for x, s, length, acc in result.evaluations:
             if (x, s, length) not in fresh:
@@ -301,25 +311,13 @@ class TestPreparedSearch:
                             zip(banks[0].kernels, banks[1].kernels))
         assert support_cells == (0 if evaluations == 1 else 4)
         combos = _count_calls(monkeypatch, vesselmf.sweep, "evaluate_combo")
-        score = _scorer(prepare(_criterion_9_set()[:2], base))
+        score = _scorer(_prepared(_criterion_9_set()[:2], base))
         scores = [score(x, 1.0, 7) for x in x_limits]
         assert len(combos) == evaluations
         assert [b.params.x_limit for _, b in combos] == \
             list(x_limits[:evaluations])
         if evaluations == 1:
             assert scores[0] == scores[1]
-
-    def test_bad_image_fails_once_before_any_combination(self, monkeypatch):
-        dataset = _criterion_9_set()[:2]
-        p = generate_phantom(size=6, seed=1, fov_radius=2)
-        dataset.insert(1, (p.rgb, p.fov, p.vessels))
-        combos = _count_calls(monkeypatch, vesselmf.sweep, "evaluate_combo")
-        with pytest.raises(SweepError) as err:
-            three_round_search(prepare(dataset, _criterion_9_base()),
-                               GridSpec(5.0, 9.0, 2.0), GridSpec(0.5, 3.0, 0.5))
-        assert str(err.value) == ("image #1 failed: stage 'clahe': image 6x6 "
-                                  "smaller than tile grid 8x8")
-        assert combos == []
 
     @pytest.mark.parametrize("grid,shape", [
         ({"grid_rows": 19}, (19, 15)),
@@ -329,7 +327,7 @@ class TestPreparedSearch:
                                                  base_params, grid, shape):
         """The image spectra were padded for the base's kernel grid; a bank
         built on another grid is an error, not a shifted response."""
-        prepared = prepare(small_dataset, base_params)
+        prepared = _prepared(small_dataset, base_params)
         bank = build_bank(replace(base_params.kernel, **grid))
         with pytest.raises(SweepError) as err:
             evaluate_combo(prepared, bank)
@@ -362,7 +360,7 @@ def test_prepared_combo_equals_per_image_pipeline(params, monkeypatch):
     for image, fov, gt in dataset:
         result = run_pipeline(image, fov, params, bank)
         accuracies.append(basic_metrics(confusion(result.vessel_map, gt))[2])
-    prepared = prepare(dataset, params)
+    prepared = _prepared(dataset, params)
     transforms = _count_kernel_transforms(monkeypatch, (17, 15))
     assert evaluate_combo(prepared, bank) == float(np.mean(accuracies))
     assert len(transforms) == 2 * params.kernel.n_orientations
