@@ -59,13 +59,9 @@ class KernelParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be finite, got {getattr(self, name)}")
-        # 2 sigma^2 and x^2 / (2 sigma^2) out to the grid's corner cell must
-        # be finite floats, or the weights come out NaN (or sigma**2 raises)
         corner = (self.grid_cols // 2) ** 2 + (self.grid_rows // 2) ** 2
-        twice_var = 2.0 * self.sigma * self.sigma
-        if not corner / np.finfo(np.float64).max < twice_var < math.inf:
-            raise ValueError(f"sigma {self.sigma:g} is out of range for the "
-                             f"{self.grid_cols}x{self.grid_rows} kernel grid")
+        _check_sigma(self.sigma, corner,
+                     f"the {self.grid_cols}x{self.grid_rows} kernel grid")
         if not 1 <= self.n_orientations <= MAX_ORIENTATIONS:
             raise ValueError(
                 f"n_orientations must be in 1..{MAX_ORIENTATIONS}, "
@@ -98,12 +94,22 @@ class KernelBank:
                 f"empty kernel bank for {self.params}")
 
 
+def _check_sigma(sigma: float, max_x_sq: float, where: str):
+    """Raise unless 2 sigma^2 and x^2 / (2 sigma^2) for x^2 up to ``max_x_sq``
+    are finite floats; else the weights come out NaN (or sigma**2 raises)."""
+    if not max_x_sq / np.finfo(np.float64).max < 2.0 * sigma * sigma < math.inf:
+        raise ValueError(f"sigma {sigma:g} is out of range for {where}")
+
+
 def gaussian_profile(x, sigma: float):
     """exp(-x^2 / (2 sigma^2)); accepts scalars or arrays."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     x = np.asarray(x, dtype=np.float64)
-    out = np.exp(-(x ** 2) / (2.0 * sigma ** 2))
+    x_sq = x ** 2
+    top = float(x_sq.max(initial=0.0))
+    _check_sigma(sigma, top, f"x^2 up to {top:g}")
+    out = np.exp(-x_sq / (2.0 * sigma ** 2))
     return float(out) if out.ndim == 0 else out
 
 

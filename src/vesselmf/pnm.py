@@ -75,6 +75,8 @@ class _Tokenizer:
 # Bytes that are neither a decimal digit nor whitespace: '#' or malformed.
 _NOT_SAMPLE_OR_SPACE = np.ones(256, dtype=bool)
 _NOT_SAMPLE_OR_SPACE[list(b"0123456789" + _WHITESPACE)] = False
+# ASCII raster bytes per numpy pass, which holds ~8 bytes of temporaries each.
+_ASCII_BLOCK = 1 << 18
 
 
 def _comment_bytes(raw: np.ndarray) -> np.ndarray:
@@ -91,6 +93,16 @@ def _comment_bytes(raw: np.ndarray) -> np.ndarray:
     return np.cumsum(marks[:-1], dtype=np.int8).view(bool)
 
 
+def _block_end(data: bytes, start: int) -> int:
+    """Just past the first CR or LF from byte ``start + _ASCII_BLOCK - 1`` on,
+    else the end of the data: no comment or digit run spans a line break."""
+    for at in range(start + _ASCII_BLOCK - 1, len(data), _ASCII_BLOCK):
+        breaks = [data.find(b, at, at + _ASCII_BLOCK) for b in (b"\n", b"\r")]
+        if max(breaks) >= 0:
+            return min(i for i in breaks if i >= 0) + 1
+    return len(data)
+
+
 def _decode_ascii(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     """The first ``count`` decimal samples of the ASCII raster at ``pos``.
 
@@ -99,9 +111,24 @@ def _decode_ascii(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     that is neither (``expected decimal sample``), the end of the data before
     ``count`` samples, or a sample above ``maxval`` (offset of its first
     digit).  Bytes after the last sample's digits do not affect the result.
+    The raster is scanned in line-aligned blocks of ``_ASCII_BLOCK`` bytes.
     """
-    raw = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    comment = _comment_bytes(raw) if data.find(b"#", pos) >= 0 else None
+    samples = np.empty(count, dtype=np.uint16)
+    n = 0
+    while n < count and pos < len(data):
+        end = _block_end(data, pos)
+        n += _decode_block(data, pos, end, samples[n:], maxval)
+        pos = end
+    if n < count:
+        raise PnmDecodeError("unexpected end of data reading sample", len(data))
+    return samples
+
+
+def _decode_block(data: bytes, pos: int, end: int, out, maxval: int) -> int:
+    """Write the samples of ``data[pos:end]``, at most ``out.size``, to the
+    front of ``out`` and return how many; raise its first error."""
+    raw = np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos)
+    comment = _comment_bytes(raw) if data.find(b"#", pos, end) >= 0 else None
 
     # Digit values with every other byte 0, behind two zero bytes; is_digit
     # is padded by one False on each side so runs start and stop inside it.
@@ -115,39 +142,29 @@ def _decode_ascii(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     digits[2:] *= is_digit
     starts = np.flatnonzero(is_digit > padded[:-2])
     last = np.flatnonzero(is_digit > padded[2:])
-    del padded, is_digit
 
     # Only bytes before the last sample can make the raster malformed.
+    count = out.size
     scan = int(starts[count - 1]) if starts.size >= count else raw.size
     bad = _NOT_SAMPLE_OR_SPACE[raw[:scan]]
     if comment is not None:
         bad &= ~comment[:scan]
-    del comment
-    if bad.any():
-        at = int(np.argmax(bad))
-        error = PnmDecodeError("expected decimal sample", pos + at)
-        n = int(np.searchsorted(starts, at))
-    elif starts.size < count:
-        error = PnmDecodeError("unexpected end of data reading sample", len(data))
-        n = starts.size
-    else:
-        error = None
-        n = count
-    del bad
+    at = int(np.argmax(bad)) if bad.any() else None
+    n = min(starts.size, count) if at is None else int(np.searchsorted(starts, at))
     starts, last = starts[:n], last[:n]
 
     # A sample's value is its last three digits; maxval <= 255, so any
     # nonzero digit before those puts it above maxval.  The byte before a
     # run is 0 in ``digits``, but two before a one-digit run may not be.
     span = last - starts
-    samples = digits[:-2][last].astype(np.uint16)
+    samples = out[:n]
+    samples[...] = digits[:-2][last]
     samples[span < 2] = 0
     samples *= 10
     samples += digits[1:-1][last]
     samples *= 10
     samples += digits[2:][last]
     long = np.flatnonzero(span > 2)
-    del span
     if long.size:
         bounds = np.column_stack((starts[long], last[long] - 2)).ravel()
         lead = np.maximum.reduceat(digits[2:], bounds)[::2]
@@ -155,12 +172,12 @@ def _decode_ascii(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     over = samples > maxval
     if over.any():
         k = int(np.argmax(over))
-        first, end = pos + int(starts[k]), pos + int(last[k]) + 1
-        value = data[first:end].lstrip(b"0").decode("ascii")
+        first, stop = pos + int(starts[k]), pos + int(last[k]) + 1
+        value = data[first:stop].lstrip(b"0").decode("ascii")
         raise PnmDecodeError(f"sample {value} exceeds maxval {maxval}", first)
-    if error is not None:
-        raise error
-    return samples
+    if at is not None:
+        raise PnmDecodeError("expected decimal sample", pos + at)
+    return n
 
 
 def read_pnm(data: bytes):
@@ -195,7 +212,7 @@ def read_pnm(data: bytes):
                 f"raster truncated: need {count} bytes, found {len(data) - start}",
                 len(data),
             )
-        samples = np.frombuffer(data[start:start + count], dtype=np.uint8).astype(np.int64)
+        samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
         if samples.max(initial=0) > maxval:
             bad = start + int(np.argmax(samples > maxval))
             raise PnmDecodeError(f"sample exceeds maxval {maxval}", bad)

@@ -55,13 +55,14 @@ def pca_grayscale(image: RgbImage) -> GrayImage:
     no eigenstructure and comes back as a flat 0.5 raster with the
     degenerate flag set.
     """
-    rgb = image.data.reshape(-1, 3).astype(np.float64) / 255.0
-    if np.all(rgb == rgb[0]):
+    pixels = image.data.reshape(-1, 3)
+    if np.all(pixels == pixels[0]):
         flat = np.full((image.height, image.width), 0.5)
         return GrayImage.from_array(flat, degenerate=True)
 
-    centered = rgb - rgb.mean(axis=0)
-    cov = centered.T @ centered / len(rgb)
+    centered = pixels / 255.0
+    centered -= centered.mean(axis=0)
+    cov = centered.T @ centered / len(centered)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(-evals, kind="stable")
     evals = np.clip(evals[order], 0.0, None)

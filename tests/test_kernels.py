@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -44,6 +45,14 @@ class TestGaussianProfile:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             gaussian_profile(1.0, 0.0)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    def test_rejects_sigma_whose_exponent_is_not_finite(self, sigma):
+        with pytest.raises(ValueError, match=re.escape(f"sigma {sigma:g} is out")):
+            gaussian_profile(1.0, sigma)
+
+    def test_small_formable_sigma_is_finite_without_warning(self):
+        assert gaussian_profile(np.array([0.0, 1.0]), 1.2e-153).tolist() == [1.0, 0.0]
 
 
 class TestKernelConstruction:

@@ -1,5 +1,7 @@
 """PNM codec: header grammar, round trips, error offsets, mask binarization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from vesselmf import (
     write_pnm,
 )
 from vesselmf.image import quantize_levels
+from vesselmf.phantom import generate_phantom
 
 
 def test_p5_decode_values():
@@ -178,6 +181,20 @@ def test_never_reads_past_declared_payload():
 ])
 def test_ascii_never_reads_past_last_sample(payload):
     assert read_pnm(payload).data.size in (2, 3)
+
+
+def test_ascii_decode_memory_is_bounded_by_block_not_file():
+    # STARE size; a whole-file scan holds about 7.8x the file in temporaries.
+    rgb = RgbImage.from_array(generate_phantom(size=700, seed=1).rgb.data[:605])
+    payload = write_pnm(rgb, "ascii")
+    tracemalloc.start()
+    try:
+        image = read_pnm(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(image.data, rgb.data)
+    assert peak < 2 * len(payload), (peak, len(payload))
 
 
 def test_load_mask_white_black():

@@ -1,7 +1,9 @@
 """Property tests of the PNM codec.
 
 The ASCII raster decoder is checked against a sample-by-sample scan with the
-header tokenizer, which is kept here as the oracle.
+header tokenizer, which is kept here as the oracle.  Its block size is drawn
+down to one byte, so line breaks, comments, junk bytes and the last sample
+land on block edges.
 """
 
 from unittest import mock
@@ -102,10 +104,16 @@ def ascii_payloads(draw):
     return header + draw(SEPARATOR) + raster + draw(trailing)
 
 
+# Tiny blocks, and the default, under which these payloads are one block.
+BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 16, pnm._ASCII_BLOCK])
+
+
 @PROPERTY
-@given(ascii_payloads())
-def test_ascii_decode_matches_per_sample_oracle(data):
-    assert_same(outcome(read_pnm, data), outcome(read_with_oracle, data))
+@given(ascii_payloads(), BLOCKS)
+def test_ascii_decode_matches_per_sample_oracle(data, block):
+    with mock.patch.object(pnm, "_ASCII_BLOCK", block):
+        got = outcome(read_pnm, data)
+    assert_same(got, outcome(read_with_oracle, data))
 
 
 RASTER_BYTES = st.lists(st.sampled_from(list(b"0123456789 \t\n\r#x\x00")),
@@ -113,11 +121,12 @@ RASTER_BYTES = st.lists(st.sampled_from(list(b"0123456789 \t\n\r#x\x00")),
 
 
 @PROPERTY
-@given(RASTER_BYTES, st.integers(1, 6), st.sampled_from([1, 9, 100, 255]))
-def test_ascii_raster_bytes_match_oracle(raster, count, maxval):
+@given(RASTER_BYTES, st.integers(1, 6), st.sampled_from([1, 9, 100, 255]), BLOCKS)
+def test_ascii_raster_bytes_match_oracle(raster, count, maxval, block):
     data = b"P2 9 9 255" + raster
-    assert_same(outcome(pnm._decode_ascii, data, 10, count, maxval),
-                outcome(oracle_decode_ascii, data, 10, count, maxval))
+    with mock.patch.object(pnm, "_ASCII_BLOCK", block):
+        got = outcome(pnm._decode_ascii, data, 10, count, maxval)
+    assert_same(got, outcome(oracle_decode_ascii, data, 10, count, maxval))
 
 
 # -- arbitrary input ---------------------------------------------------------
