@@ -18,7 +18,6 @@ from .metrics import (
     confusion,
     evaluate_pair,
     mad,
-    rmsd,
     roc_curve,
 )
 from .phantom import Phantom, generate_phantom

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -170,7 +169,7 @@ _PIPELINE_FLAGS = {
     "otsu-scope": (str, PipelineParams.otsu_scope,
                    "histogram scope for the threshold",
                    ["full-image", "fov-only"]),
-    "clahe-tiles": (int, ClaheParams.tiles_x, "tile grid size per side", None),
+    "clahe-tiles": (int, ClaheParams.tiles, "tile grid size per side", None),
     "clahe-clip": (float, ClaheParams.clip_limit,
                    "clip limit as a tile-count fraction", None),
     "clahe-bins": (int, ClaheParams.bins, "histogram bins per tile", None),
@@ -228,8 +227,8 @@ def resolve_pipeline_params(args) -> PipelineParams:
         kernel=KernelParams(sigma=s["sigma"], length=s["length"],
                             x_limit=s["x-limit"],
                             n_orientations=s["orientations"]),
-        clahe=ClaheParams(tiles_x=s["clahe-tiles"], tiles_y=s["clahe-tiles"],
-                          clip_limit=s["clahe-clip"], bins=s["clahe-bins"]),
+        clahe=ClaheParams(tiles=s["clahe-tiles"], clip_limit=s["clahe-clip"],
+                          bins=s["clahe-bins"]),
         min_component_size=s["min-size"],
         otsu_scope=s["otsu-scope"],
     )
@@ -247,29 +246,6 @@ def _params_meta(params: PipelineParams) -> str:
             f"x_limit={_num(k.x_limit)} orientations={k.n_orientations} "
             f"min_size={'auto' if min_size is None else min_size} "
             f"otsu_scope={params.otsu_scope}")
-
-
-class ThreadCountError(ValueError):
-    """A worker-pool size below 1, or a VESSELMF_THREADS that is not an integer."""
-
-
-def _thread_count(args) -> int:
-    """Pool size from ``--threads``, else VESSELMF_THREADS, else 1."""
-    if args.threads is not None:
-        count, source = args.threads, "--threads"
-    else:
-        env = os.environ.get("VESSELMF_THREADS", "").strip()
-        if not env:
-            return 1
-        source = "VESSELMF_THREADS"
-        try:
-            count = int(env)
-        except ValueError:
-            raise ThreadCountError(
-                f"{source} must be an integer, got {env!r}") from None
-    if count < 1:
-        raise ThreadCountError(f"{source} must be at least 1, got {count}")
-    return count
 
 
 def _fmt(value, digits=4) -> str:
@@ -352,7 +328,8 @@ def _stage_writer(out_dir: Path):
 
 
 def cmd_eval(args) -> int:
-    threads = _thread_count(args)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     params = resolve_pipeline_params(args)
     scope_fov = args.metrics_scope == "fov"
 
@@ -364,7 +341,7 @@ def cmd_eval(args) -> int:
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
     rows, code = _run_entries(args, params, score, with_gt=True,
-                              threads=threads)
+                              threads=args.threads)
     meta = _params_meta(params)
     if args.format == "json":
         _write_eval_json(report_path, rows, meta)
@@ -534,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--report")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--metrics-scope", choices=["full", "fov"], default="full")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker pool size (or VESSELMF_THREADS)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker pool size (default 1)")
 
     command("roc", cmd_roc, "ROC curve points and AUC per image", "--out")
 

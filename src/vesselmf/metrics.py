@@ -72,19 +72,6 @@ def basic_metrics(c: ConfusionCounts):
     return sens, spec, acc
 
 
-def rmsd(seg: BinaryImage, gt: BinaryImage,
-         scope: BinaryImage | None = None) -> float | None:
-    """Root mean square of the pixel differences over scope-true pixels (all
-    pixels when absent); 0 iff the maps coincide there, None for an empty
-    scope."""
-    check_same_size(seg, gt, "segmentation and ground truth")
-    diff = (_in_scope(seg, scope).astype(np.float64)
-            - _in_scope(gt, scope).astype(np.float64))
-    if diff.size == 0:
-        return None
-    return float(np.sqrt(np.mean(diff ** 2)))
-
-
 def mad(image, *, scope: BinaryImage | None = None) -> float | None:
     """Square root of the mean absolute deviation from the image mean, over
     scope-true pixels (all pixels when absent); None for an empty scope.
@@ -149,7 +136,8 @@ def evaluate_pair(seg: BinaryImage, gt: BinaryImage,
 
     ``scope``, when given, restricts every metric to its True pixels.
     """
-    sens, spec, acc = basic_metrics(confusion(seg, gt, scope))
+    c = confusion(seg, gt, scope)
+    sens, spec, acc = basic_metrics(c)
     # One scope over two same-size maps: both mads are None or neither is.
     mad_seg, mad_gt = mad(seg, scope=scope), mad(gt, scope=scope)
     area = None
@@ -162,7 +150,8 @@ def evaluate_pair(seg: BinaryImage, gt: BinaryImage,
         sensitivity=sens,
         specificity=spec,
         accuracy=acc,
-        rmsd=rmsd(seg, gt, scope),
+        # Root mean square of the 0/1 pixel differences over the scope.
+        rmsd=float(np.sqrt((c.fp + c.fn) / c.total)) if c.total else None,
         mad_diff=None if mad_seg is None else abs(mad_seg - mad_gt),
         auc=area,
     )

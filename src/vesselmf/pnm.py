@@ -113,7 +113,9 @@ def _decode_ascii(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     digit).  Bytes after the last sample's digits do not affect the result.
     The raster is scanned in line-aligned blocks of ``_ASCII_BLOCK`` bytes.
     """
-    samples = np.empty(count, dtype=np.uint16)
+    # The bytes left hold fewer samples than this, so a header that claims
+    # more than the data holds allocates no more than the data's size.
+    samples = np.empty(min(count, len(data) - pos + 1), dtype=np.uint16)
     n = 0
     while n < count and pos < len(data):
         end = _block_end(data, pos)
@@ -191,10 +193,13 @@ def read_pnm(data: bytes):
 
     tok = _Tokenizer(data, pos=2)
     width = tok.next_uint("width", _MAX_HEADER_DIGITS)
+    width_at = tok.last_at
     height = tok.next_uint("height", _MAX_HEADER_DIGITS)
+    height_at = tok.last_at
     maxval = tok.next_uint("maxval", _MAX_HEADER_DIGITS)
     if width < 1 or height < 1:
-        raise PnmDecodeError(f"invalid dimensions {width}x{height}", tok.last_at)
+        raise PnmDecodeError(f"invalid dimensions {width}x{height}",
+                             width_at if width < 1 else height_at)
     if maxval < 1 or maxval > 255:
         raise PnmDecodeError(f"maxval {maxval} outside [1, 255]", tok.last_at)
 
@@ -220,7 +225,9 @@ def read_pnm(data: bytes):
     if color:
         rgb = samples.reshape(height, width, 3)
         if maxval != 255:
-            rgb = np.floor(rgb * 255.0 / maxval + 0.5).astype(np.int64)
+            # One lookup table per maxval, not a float copy of every sample.
+            scale = np.floor(np.arange(maxval + 1) * 255.0 / maxval + 0.5)
+            rgb = scale.astype(np.uint8)[rgb]
         return RgbImage.from_array(rgb.astype(np.uint8))
     gray = samples.reshape(height, width).astype(np.float64) / maxval
     return GrayImage.from_array(gray)

@@ -18,15 +18,15 @@ from .image import GrayImage, RgbImage
 
 @dataclass(frozen=True)
 class ClaheParams:
-    """Tile grid, clip limit (fraction of the tile pixel count) and histogram size."""
+    """Tiles per side of the square tile grid, clip limit (fraction of the
+    tile pixel count) and histogram size."""
 
-    tiles_x: int = 8
-    tiles_y: int = 8
+    tiles: int = 8
     clip_limit: float = 0.01
     bins: int = 256
 
     def __post_init__(self):
-        if self.tiles_x < 1 or self.tiles_y < 1:
+        if self.tiles < 1:
             raise ValueError("tile counts must be at least 1")
         if not 0.0 < self.clip_limit <= 1.0:
             raise ValueError("clip_limit must be in (0, 1]")
@@ -110,20 +110,17 @@ def clahe(image: GrayImage, params: ClaheParams = ClaheParams()) -> GrayImage:
     blends the four surrounding tile equalization mappings bilinearly, with
     edge tiles replicated beyond the outermost tile centers.
     """
-    h, w = image.height, image.width
-    if h < params.tiles_y or w < params.tiles_x:
-        raise ValueError(
-            f"image {w}x{h} smaller than tile grid "
-            f"{params.tiles_x}x{params.tiles_y}"
-        )
+    h, w, tiles = image.height, image.width, params.tiles
+    if min(h, w) < tiles:
+        raise ValueError(f"image {w}x{h} smaller than tile grid {tiles}x{tiles}")
 
     bin_idx = np.minimum((image.data * params.bins).astype(np.intp), params.bins - 1)
-    row_edges = np.round(np.linspace(0, h, params.tiles_y + 1)).astype(int)
-    col_edges = np.round(np.linspace(0, w, params.tiles_x + 1)).astype(int)
+    row_edges = np.round(np.linspace(0, h, tiles + 1)).astype(int)
+    col_edges = np.round(np.linspace(0, w, tiles + 1)).astype(int)
 
-    mappings = np.empty((params.tiles_y, params.tiles_x, params.bins))
-    for ti in range(params.tiles_y):
-        for tj in range(params.tiles_x):
+    mappings = np.empty((tiles, tiles, params.bins))
+    for ti in range(tiles):
+        for tj in range(tiles):
             tile = bin_idx[row_edges[ti]:row_edges[ti + 1],
                            col_edges[tj]:col_edges[tj + 1]]
             mappings[ti, tj] = _tile_mapping(tile, params)

@@ -32,7 +32,6 @@ from vesselmf import (
     kernel_at_angle,
     length_filter,
     otsu_threshold,
-    rmsd,
     roc_curve,
     run_pipeline,
     three_round_search,
@@ -41,6 +40,7 @@ from vesselmf import (
 from vesselmf import cli
 from vesselmf.sweep import PreparedDataset, _window, prepare_image
 
+from test_metrics import rmsd_oracle
 from test_response import correlate, naive_convolve
 from test_segment import flood_fill_components
 
@@ -178,9 +178,11 @@ def test_criterion_7_metrics_closed_forms():
     for _ in range(100):
         seg = BinaryImage.from_array(rng.random((16, 16)) < 0.5)
         gt = BinaryImage.from_array(rng.random((16, 16)) < 0.5)
-        c = confusion(seg, gt)
-        if abs(rmsd(seg, gt) ** 2 * 256 - (c.fp + c.fn)) > 1e-9:
-            identity_ok = False
+        scope = BinaryImage.from_array(rng.random((16, 16)) < 0.7)
+        for where in (None, scope):
+            if evaluate_pair(seg, gt, scope=where).rmsd != \
+                    rmsd_oracle(seg, gt, where):
+                identity_ok = False
 
     arr = rng.random((12, 12)) < 0.4
     seg = BinaryImage.from_array(arr)
@@ -196,7 +198,8 @@ def test_criterion_7_metrics_closed_forms():
 
     _report(7, "metrics closed forms",
             identity_ok and perfect_ok and auc_ok,
-            f"rmsd identity exact on 100 pairs = {identity_ok}, "
+            f"rmsd = pixel oracle on 100 pairs, with and without scope = "
+            f"{identity_ok}, "
             f"perfect = {perfect_ok}, sep AUC = {separating}, "
             f"diag AUC = {diagonal}")
 

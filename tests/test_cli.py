@@ -1,12 +1,12 @@
 """Batch CLI: dataset discovery, subcommands, report determinism."""
 
-import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,6 @@ from vesselmf import (
 from vesselmf.cli import (
     _PIPELINE_FLAGS,
     DatasetError,
-    ThreadCountError,
-    _thread_count,
     build_parser,
     discover_dataset,
     main,
@@ -393,45 +391,39 @@ def test_unknown_config_key_errors(tmp_path):
     assert code == 2
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
+@pytest.mark.parametrize("env", ["3", "-1", "two"])
+def test_eval_ignores_vesselmf_threads(tmp_path, monkeypatch, env):
+    # The pool size comes from --threads alone; without it eval runs serially.
     _make_drive_tree(tmp_path / "data", n=2)
-    monkeypatch.setenv("VESSELMF_THREADS", "3")
-    r1 = tmp_path / "a.csv"
+    monkeypatch.setenv("VESSELMF_THREADS", env)
+    pools = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(vesselmf.cli, "ThreadPoolExecutor", RecordedPool)
+    report = tmp_path / "a.csv"
     code = main(["eval", "--dataset-dir", str(tmp_path / "data"),
-                 "--layout", "drive", "--report", str(r1), *PIPE_FLAGS])
+                 "--layout", "drive", "--report", str(report), *PIPE_FLAGS])
     assert code == 0
-    assert r1.read_text().splitlines()[2].split(",")[0] == "01_test"
+    assert pools == []
+    assert report.read_text().splitlines()[2].split(",")[0] == "01_test"
 
 
-@pytest.mark.parametrize("flag,env,expected", [
-    (None, None, 1), (None, "2", 2), (3, "bogus", 3), (None, " 4 ", 4),
-])
-def test_thread_count_sources(monkeypatch, flag, env, expected):
-    if env is None:
-        monkeypatch.delenv("VESSELMF_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("VESSELMF_THREADS", env)
-    assert _thread_count(argparse.Namespace(threads=flag)) == expected
-
-
-@pytest.mark.parametrize("flag,env", [
-    (0, None), (-2, None), (None, "-1"), (None, "0"), (None, "two"), (None, "1.5"),
-])
-def test_bad_thread_count_rejected(monkeypatch, flag, env):
-    if env is None:
-        monkeypatch.delenv("VESSELMF_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("VESSELMF_THREADS", env)
-    with pytest.raises(ThreadCountError):
-        _thread_count(argparse.Namespace(threads=flag))
-
-
-def test_bad_thread_count_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("VESSELMF_THREADS", "-3")
-    code = main(["eval", "--dataset-dir", str(tmp_path / "absent"),
-                 "--layout", "drive", "--report", str(tmp_path / "r.csv")])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_bad_thread_count_exits_2_before_any_image_is_read(
+        tmp_path, monkeypatch, capsys, threads):
+    _make_drive_tree(tmp_path / "data", n=2)
+    reads = _count_calls(monkeypatch, vesselmf.pnm, "read_pnm")
+    code = main(["eval", "--dataset-dir", str(tmp_path / "data"),
+                 "--layout", "drive", "--report", str(tmp_path / "r.csv"),
+                 "--threads", threads])
     assert code == 2
-    assert "VESSELMF_THREADS must be at least 1" in capsys.readouterr().err
+    assert reads == []
+    assert capsys.readouterr().err == \
+        f"error: --threads must be at least 1, got {threads}\n"
     assert not (tmp_path / "r.csv").exists()
 
 

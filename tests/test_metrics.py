@@ -14,7 +14,6 @@ from vesselmf import (
     confusion,
     evaluate_pair,
     mad,
-    rmsd,
     roc_curve,
 )
 
@@ -84,24 +83,33 @@ class TestBasicMetrics:
         assert 0.0 <= acc <= 1.0
 
 
+def rmsd_oracle(seg, gt, scope=None):
+    """Root mean square of the per-pixel differences, from the pixels."""
+    keep = np.ones(seg.data.shape, dtype=bool) if scope is None else scope.data
+    diff = (seg.data[keep].astype(np.float64)
+            - gt.data[keep].astype(np.float64))
+    return float(np.sqrt(np.mean(diff ** 2)))
+
+
 class TestRmsdMad:
     def test_rmsd_zero_on_match(self):
         img = _binary([[1, 0], [0, 1]])
-        assert rmsd(img, img) == 0.0
+        assert evaluate_pair(img, img).rmsd == 0.0
 
     def test_rmsd_closed_form(self):
         seg = _binary([[1, 0, 1, 0]])
         gt = _binary([[1, 1, 0, 0]])
-        assert rmsd(seg, gt) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert evaluate_pair(seg, gt).rmsd == np.sqrt(0.5)
 
-    def test_rmsd_confusion_identity(self):
+    @pytest.mark.parametrize("scoped", [False, True])
+    def test_rmsd_equals_pixel_difference_oracle(self, scoped):
         rng = np.random.default_rng(3)
         for _ in range(20):
             seg = _binary(rng.random((16, 16)) < 0.5)
             gt = _binary(rng.random((16, 16)) < 0.5)
-            c = confusion(seg, gt)
-            assert rmsd(seg, gt) ** 2 * 256 == pytest.approx(c.fp + c.fn,
-                                                             abs=1e-9)
+            scope = _binary(rng.random((16, 16)) < 0.7) if scoped else None
+            assert evaluate_pair(seg, gt, scope=scope).rmsd == \
+                rmsd_oracle(seg, gt, scope)
 
     def test_mad_constant_zero(self):
         assert mad(GrayImage.from_array(np.full((4, 4), 0.3))) == 0.0

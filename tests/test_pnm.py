@@ -98,6 +98,18 @@ def test_maxval_too_large_rejected():
     assert err.value.offset == 7
 
 
+@pytest.mark.parametrize("payload,message,offset", [
+    (b"P2 0 5 255 1", "invalid dimensions 0x5", 3),
+    (b"P2 5 0 255 1", "invalid dimensions 5x0", 5),
+    (b"P2 5 5 0 1", "maxval 0 outside [1, 255]", 7),
+])
+def test_header_range_errors_name_the_number_out_of_range(payload, message,
+                                                          offset):
+    with pytest.raises(PnmDecodeError) as err:
+        read_pnm(payload)
+    assert str(err.value) == f"{message} (byte offset {offset})"
+
+
 @pytest.mark.parametrize("what,payload,offset", [
     ("width", b"P2 " + b"1" * 5000 + b" 1 255 0", 3),
     ("height", b"P2 1 #c\n" + b"1" * 5000 + b" 255 0", 8),
@@ -144,6 +156,20 @@ def test_ascii_above_maxval_names_exact_value_and_first_digit(payload, value, of
         read_pnm(payload)
     assert str(err.value).startswith(f"sample {value} exceeds maxval")
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("magic", [b"P2", b"P3"])
+@pytest.mark.parametrize("raster,message,offset", [
+    (b"1 2 3", "unexpected end of data reading sample", 28),
+    (b"1 x 3", "expected decimal sample", 25),
+    (b"1 300 3", "sample 300 exceeds maxval 255", 25),
+])
+def test_ascii_header_claiming_more_samples_than_the_data_holds(
+        magic, raster, message, offset):
+    # 10^12 claimed samples: the decode must not allocate for all of them.
+    with pytest.raises(PnmDecodeError) as err:
+        read_pnm(magic + b" 1000000 1000000 255 " + raster)
+    assert str(err.value) == f"{message} (byte offset {offset})"
 
 
 def _join_ascii(image):
@@ -195,6 +221,23 @@ def test_ascii_decode_memory_is_bounded_by_block_not_file():
         tracemalloc.stop()
     assert np.array_equal(image.data, rgb.data)
     assert peak < 2 * len(payload), (peak, len(payload))
+
+
+@pytest.mark.parametrize("form", ["binary", "ascii"])
+def test_color_maxval_rescale_memory_is_bounded_by_raster(form):
+    # The rescale is a table lookup, with no float copy of the raster.
+    rgb = np.minimum(generate_phantom(size=700, seed=1).rgb.data[:605], 254)
+    payload = write_pnm(RgbImage.from_array(rgb), form).replace(
+        b"\n255\n", b"\n254\n", 1)
+    tracemalloc.start()
+    try:
+        image = read_pnm(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = np.floor(rgb * 255.0 / 254 + 0.5).astype(np.uint8)
+    assert np.array_equal(image.data, expected)
+    assert peak < len(payload) + 2 * rgb.size, (peak, len(payload))
 
 
 def test_load_mask_white_black():

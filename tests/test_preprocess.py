@@ -57,7 +57,7 @@ class TestPcaGrayscale:
 
 class TestClahe:
     def test_constant_image_nearly_unchanged(self):
-        params = ClaheParams(tiles_x=2, tiles_y=2, clip_limit=0.001, bins=256)
+        params = ClaheParams(tiles=2, clip_limit=0.001, bins=256)
         img = GrayImage.from_array(np.full((32, 32), 0.7))
         out = clahe(img, params)
         assert np.abs(out.data - 0.7).max() <= 1.0 / params.bins
@@ -65,7 +65,7 @@ class TestClahe:
     def test_single_tile_no_clip_is_global_equalization(self):
         rng = np.random.default_rng(8)
         data = rng.random((12, 12))
-        params = ClaheParams(tiles_x=1, tiles_y=1, clip_limit=1.0, bins=64)
+        params = ClaheParams(tiles=1, clip_limit=1.0, bins=64)
         out = clahe(GrayImage.from_array(data), params)
 
         # independent oracle: empirical CDF over quantized levels
@@ -78,7 +78,7 @@ class TestClahe:
     def test_two_level_cdf_mapping(self):
         # 50/50 split of 0.2 and 0.8: inclusive CDF maps them to 0.5 and 1.0
         data = np.array([[0.2, 0.8], [0.8, 0.2]])
-        params = ClaheParams(tiles_x=1, tiles_y=1, clip_limit=1.0, bins=256)
+        params = ClaheParams(tiles=1, clip_limit=1.0, bins=256)
         out = clahe(GrayImage.from_array(data), params)
         assert np.allclose(out.data[data == 0.2], 0.5, atol=1e-12)
         assert np.allclose(out.data[data == 0.8], 1.0, atol=1e-12)
@@ -93,29 +93,30 @@ class TestClahe:
         # two pixels in the same tile ordered by value stay ordered
         rng = np.random.default_rng(10)
         data = np.sort(rng.random((16, 16)), axis=1)
-        params = ClaheParams(tiles_x=1, tiles_y=1, clip_limit=0.5, bins=128)
+        params = ClaheParams(tiles=1, clip_limit=0.5, bins=128)
         out = clahe(GrayImage.from_array(data), params)
         assert np.all(np.diff(out.data, axis=1) >= -1e-12)
 
     def test_image_smaller_than_grid_rejected(self):
         img = GrayImage.from_array(np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            clahe(img, ClaheParams(tiles_x=8, tiles_y=8))
+            clahe(img, ClaheParams(tiles=8))
 
     def test_bilinear_blend_between_tiles(self):
-        # 4x16 image, two side-by-side tiles.  Row 1 holds 0.6 everywhere;
-        # the rest of the left tile is 0.1 and of the right tile 0.9.  With
-        # 4 bins and no clipping the left mapping sends 0.6 to CDF 1.0 and
-        # the right one to 8/32 = 0.25, so along row 1 the output must ramp
-        # linearly from 1.0 to 0.25 between the tile centers at columns 4
-        # and 12, with flat replication outside them.
-        data = np.empty((4, 16))
+        # 8x16 image, 2x2 tiles whose top and bottom rows are alike.  Row 1
+        # of each tile row (image rows 1 and 5) holds 0.6 everywhere; the
+        # rest of the left tiles is 0.1 and of the right tiles 0.9.  With 4
+        # bins and no clipping the left mappings send 0.6 to CDF 1.0 and the
+        # right ones to 8/32 = 0.25, so along those rows the output must
+        # ramp linearly from 1.0 to 0.25 between the tile centers at
+        # columns 4 and 12, with flat replication outside them.
+        data = np.empty((8, 16))
         data[:, :8] = 0.1
         data[:, 8:] = 0.9
-        data[1, :] = 0.6
-        params = ClaheParams(tiles_x=2, tiles_y=1, clip_limit=1.0, bins=4)
+        data[[1, 5], :] = 0.6
+        params = ClaheParams(tiles=2, clip_limit=1.0, bins=4)
         out = clahe(GrayImage.from_array(data), params)
         cols = np.arange(16)
         frac = np.clip((cols - 4) / 8.0, 0.0, 1.0)
         expected = (1 - frac) * 1.0 + frac * 0.25
-        assert np.allclose(out.data[1], expected, atol=1e-12)
+        assert np.allclose(out.data[[1, 5]], expected, atol=1e-12)
